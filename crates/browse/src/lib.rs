@@ -10,7 +10,11 @@
 //! * [`operators`] — the §6.1 `relation(...)` structured-view operator
 //!   and the definition facility for named query macros.
 //! * [`session`] — an interactive [`Session`] interleaving navigation,
-//!   standard queries and probing over one database.
+//!   standard queries and probing over one owned database.
+//! * [`snapshot`] — the same session over a database that publishes
+//!   snapshots ([`SnapshotSession`]), written once over a [`Snapshots`]
+//!   provider: [`SharedSession`] reads a `SharedDatabase`,
+//!   [`ShardedSession`] a `ShardedDatabase`.
 //! * [`table`] — the paper-style grouped table renderer.
 //!
 //! ```
@@ -33,8 +37,7 @@ pub mod navigate;
 pub mod operators;
 pub mod probe;
 pub mod session;
-pub mod sharded;
-pub mod shared;
+pub mod snapshot;
 pub mod table;
 
 pub use navigate::{navigate, paths_between, semantic_distance, try_entity, NavigateOptions, Path};
@@ -46,6 +49,5 @@ pub use probe::{
     ProbeReport, RetractionStep, Wave,
 };
 pub use session::{Session, SessionError};
-pub use sharded::ShardedSession;
-pub use shared::{CacheStats, SharedSession};
+pub use snapshot::{CacheStats, ShardedSession, SharedSession, SnapshotSession, Snapshots};
 pub use table::GroupedTable;

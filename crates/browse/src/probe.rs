@@ -176,7 +176,10 @@ impl ProbeReport {
                 out
             }
             ProbeOutcome::NoSuchEntities(missing) => {
-                let names: Vec<String> = missing.iter().map(|e| interner.display(*e)).collect();
+                // By name, not id: the ids of constants no snapshot has
+                // interned are a session's private extension order.
+                let mut names: Vec<String> = missing.iter().map(|e| interner.display(*e)).collect();
+                names.sort();
                 format!("Query failed: no such database entities: {}\n", names.join(", "))
             }
             ProbeOutcome::Exhausted => "Query failed; no broader query succeeded.\n".to_string(),
@@ -222,9 +225,8 @@ pub fn probe(query: &Query, view: &ClosureView<'_>, opts: &ProbeOptions) -> Prob
 
 /// Like [`probe`], but generic over the retrieval view, with the `≺`
 /// taxonomy supplied by the caller. This is the entry point for sharded
-/// browsing: structural facts are broadcast to every shard, so any one
-/// shard's closure yields the global taxonomy while the attempts
-/// evaluate over the scatter-gather union view.
+/// browsing: the taxonomy spans every shard ([`Taxonomy::partitioned`])
+/// while the attempts evaluate over the scatter-gather union view.
 pub fn probe_with_taxonomy<V: FactView>(
     query: &Query,
     view: &V,

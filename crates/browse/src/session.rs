@@ -10,8 +10,9 @@
 use std::time::Instant;
 
 use loosedb_engine::{ClosureError, Database, MathMatchError, TransactionError};
-use loosedb_query::{plan_and_eval_stats, Answer, EvalError, ParseError};
-use loosedb_store::{EntityId, EntityValue, Pattern};
+use loosedb_obs::Metrics;
+use loosedb_query::{plan_and_eval_stats, Answer, EvalError, EvalStats, ParseError};
+use loosedb_store::{EntityId, EntityValue, Interner, Pattern};
 
 use crate::navigate::{navigate, try_entity, NavigateOptions};
 use crate::operators::{relation, DefineError, Definitions, RelationTable};
@@ -87,6 +88,62 @@ impl From<TransactionError> for SessionError {
     }
 }
 
+/// The entity a display name denotes: numbers are number entities,
+/// anything else a symbol.
+pub(crate) fn value(name: &str) -> EntityValue {
+    if let Ok(i) = name.parse::<i64>() {
+        EntityValue::Int(i)
+    } else if let Ok(x) = name.parse::<f64>() {
+        EntityValue::float(x)
+    } else {
+        EntityValue::symbol(name)
+    }
+}
+
+/// Resolves a display name without interning it.
+pub(crate) fn resolve(interner: &Interner, name: &str) -> Result<EntityId, SessionError> {
+    match interner.lookup(&value(name)) {
+        Some(e) if name != "*" => Ok(e),
+        _ => Err(SessionError::UnknownEntity(name.to_string())),
+    }
+}
+
+/// A template position by name: `"*"` is free, anything else resolves.
+pub(crate) fn part(interner: &Interner, name: &str) -> Result<Option<EntityId>, SessionError> {
+    if name == "*" {
+        Ok(None)
+    } else {
+        resolve(interner, name).map(Some)
+    }
+}
+
+/// Folds one navigation build into the `browse.nav.*` registry metrics.
+pub(crate) fn record_nav(metrics: &Metrics, start: Instant) {
+    metrics.nav_builds.inc();
+    metrics.nav_build_ns.record_duration(start.elapsed());
+}
+
+/// Folds one query evaluation into the `query.*` registry metrics.
+pub(crate) fn record_eval(metrics: &Metrics, start: Instant, rows: usize, stats: EvalStats) {
+    metrics.query_evals.inc();
+    metrics.query_eval_ns.record_duration(start.elapsed());
+    metrics.query_rows.record(rows as u64);
+    metrics.strategy_hash.add(stats.strategy_hash);
+    metrics.strategy_nested.add(stats.strategy_nested);
+    metrics.join_partitions.add(stats.partitions);
+}
+
+/// Folds a probe report into the `browse.probe.*` registry metrics.
+pub(crate) fn record_probe(metrics: &Metrics, report: &ProbeReport) {
+    metrics.probe_runs.inc();
+    metrics.probe_waves.add(report.waves.len() as u64);
+    for wave in &report.waves {
+        metrics.probe_attempts.add(wave.attempts.len() as u64);
+        metrics.probe_wave_size.record(wave.attempts.len() as u64);
+        metrics.probe_successes.add(wave.successes().count() as u64);
+    }
+}
+
 /// A browsing session over a database.
 pub struct Session {
     db: Database,
@@ -127,39 +184,14 @@ impl Session {
     }
 
     fn resolve(&self, name: &str) -> Result<EntityId, SessionError> {
-        if name == "*" {
-            return Err(SessionError::UnknownEntity("*".into()));
-        }
-        // Numbers resolve to number entities; anything else is a symbol.
-        let value = if let Ok(i) = name.parse::<i64>() {
-            EntityValue::Int(i)
-        } else if let Ok(x) = name.parse::<f64>() {
-            EntityValue::float(x)
-        } else {
-            EntityValue::symbol(name)
-        };
-        self.db.lookup(&value).ok_or_else(|| SessionError::UnknownEntity(name.to_string()))
-    }
-
-    fn part(&self, name: &str) -> Result<Option<EntityId>, SessionError> {
-        if name == "*" {
-            Ok(None)
-        } else {
-            self.resolve(name).map(Some)
-        }
+        resolve(self.db.store().interner(), name)
     }
 
     /// Focuses on an entity: renders its neighborhood `(E, *, *)` and
     /// pushes it on the focus history.
     pub fn focus(&mut self, name: &str) -> Result<GroupedTable, SessionError> {
         let e = self.resolve(name)?;
-        let table = {
-            let view = self.db.view()?;
-            let start = Instant::now();
-            let table = navigate(&view, Pattern::from_source(e), &self.nav_opts)?;
-            self.record_nav(start);
-            table
-        };
+        let table = self.nav(Pattern::from_source(e))?;
         self.history.push(e);
         Ok(table)
     }
@@ -171,17 +203,15 @@ impl Session {
         }
         self.history.pop();
         let e = *self.history.last().expect("non-empty");
-        let view = self.db.view()?;
-        let start = Instant::now();
-        let table = navigate(&view, Pattern::from_source(e), &self.nav_opts)?;
-        self.record_nav(start);
-        Ok(table)
+        self.nav(Pattern::from_source(e))
     }
 
-    fn record_nav(&self, start: Instant) {
-        let m = self.db.metrics();
-        m.nav_builds.inc();
-        m.nav_build_ns.record_duration(start.elapsed());
+    fn nav(&mut self, pattern: Pattern) -> Result<GroupedTable, SessionError> {
+        let view = self.db.view()?;
+        let start = Instant::now();
+        let table = navigate(&view, pattern, &self.nav_opts)?;
+        record_nav(self.db.metrics(), start);
+        Ok(table)
     }
 
     /// The focus history, oldest first.
@@ -197,12 +227,9 @@ impl Session {
         r: &str,
         t: &str,
     ) -> Result<GroupedTable, SessionError> {
-        let pattern = Pattern::new(self.part(s)?, self.part(r)?, self.part(t)?);
-        let view = self.db.view()?;
-        let start = Instant::now();
-        let table = navigate(&view, pattern, &self.nav_opts)?;
-        self.record_nav(start);
-        Ok(table)
+        let i = self.db.store().interner();
+        let pattern = Pattern::new(part(i, s)?, part(i, r)?, part(i, t)?);
+        self.nav(pattern)
     }
 
     /// Evaluates a standard query (§2.7) given in the textual syntax.
@@ -213,13 +240,7 @@ impl Session {
         let view = self.db.view()?;
         let start = Instant::now();
         let (answer, _, stats) = plan_and_eval_stats(&query, &view, eval_opts)?;
-        let m = self.db.metrics();
-        m.query_evals.inc();
-        m.query_eval_ns.record_duration(start.elapsed());
-        m.query_rows.record(answer.len() as u64);
-        m.strategy_hash.add(stats.strategy_hash);
-        m.strategy_nested.add(stats.strategy_nested);
-        m.join_partitions.add(stats.partitions);
+        record_eval(self.db.metrics(), start, answer.len(), stats);
         Ok(answer)
     }
 
@@ -231,7 +252,7 @@ impl Session {
         let probe_opts = self.probe_opts;
         let view = self.db.view()?;
         let report = probe(&query, &view, &probe_opts);
-        crate::shared::record_probe(self.db.metrics(), &report);
+        record_probe(self.db.metrics(), &report);
         Ok(report)
     }
 

@@ -39,21 +39,37 @@ use crate::closure::Closure;
 /// ```
 pub struct Taxonomy<'a> {
     closure: &'a Closure,
+    /// The other partitions of a sharded database (none for one store),
+    /// consulted only by [`Taxonomy::exists`].
+    others: Vec<&'a Closure>,
 }
 
 impl<'a> Taxonomy<'a> {
     /// Creates a taxonomy view over a closure.
     pub fn new(closure: &'a Closure) -> Self {
-        Taxonomy { closure }
+        Taxonomy { closure, others: Vec::new() }
+    }
+
+    /// A taxonomy over a database partitioned into `closures` (at least
+    /// one). The `≺` and `≈` facts are read from the first: a sharded
+    /// database broadcasts every structural fact, so each partition holds
+    /// the whole hierarchy. Whether an entity exists at all is judged
+    /// across every partition, since most facts live on one shard only.
+    pub fn partitioned(closures: impl IntoIterator<Item = &'a Closure>) -> Self {
+        let mut closures = closures.into_iter();
+        let closure = closures.next().expect("at least one partition");
+        Taxonomy { closure, others: closures.collect() }
     }
 
     /// True if `e` occurs anywhere in the closure (probing's "is this a
     /// database entity?" test, §5.2).
     pub fn exists(&self, e: EntityId) -> bool {
-        special::is_special(e)
-            || self.closure.matching(Pattern::from_source(e)).next().is_some()
-            || self.closure.matching(Pattern::from_rel(e)).next().is_some()
-            || self.closure.matching(Pattern::from_target(e)).next().is_some()
+        let occurs = |c: &Closure| {
+            c.matching(Pattern::from_source(e)).next().is_some()
+                || c.matching(Pattern::from_rel(e)).next().is_some()
+                || c.matching(Pattern::from_target(e)).next().is_some()
+        };
+        special::is_special(e) || occurs(self.closure) || self.others.iter().any(|c| occurs(c))
     }
 
     /// True if `(a, ≺, b)` holds, including the virtual reflexive and

@@ -26,10 +26,13 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Instant;
 
+use loosedb_browse::Snapshots;
+
 use crate::protocol::{ErrorCode, Request, Response};
-use crate::server::Inner;
+use crate::server::{dispatch, open_session, Inner};
 
 /// Largest accepted header block.
 const MAX_HEAD: usize = 16 * 1024;
@@ -37,8 +40,8 @@ const MAX_HEAD: usize = 16 * 1024;
 /// Largest accepted request body.
 const MAX_BODY: usize = 1024 * 1024;
 
-/// Handles one HTTP connection end to end.
-pub(crate) fn handle(inner: &Inner, mut stream: TcpStream) {
+/// Handles one HTTP connection end to end; `POST /query` reads `db`.
+pub(crate) fn handle<P: Snapshots>(inner: &Inner, mut stream: TcpStream, db: &Arc<P>) {
     let metrics = inner.metrics();
     metrics.serve_http_requests.inc();
     let deadline = Instant::now() + inner.config.idle_timeout;
@@ -140,7 +143,7 @@ pub(crate) fn handle(inner: &Inner, mut stream: TcpStream) {
                 return;
             };
             let tenant = json_string_field(body, "tenant").unwrap_or_default();
-            run_query(inner, &mut stream, &tenant, &query);
+            run_query(inner, &mut stream, db, &tenant, &query);
         }
         _ => respond(&mut stream, inner, 404, "text/plain", "not found\n"),
     }
@@ -148,22 +151,23 @@ pub(crate) fn handle(inner: &Inner, mut stream: TcpStream) {
 
 /// Runs one query through a throwaway session under the tenant's quota
 /// and answers JSON.
-fn run_query(inner: &Inner, stream: &mut TcpStream, tenant: &str, query: &str) {
-    let metrics = std::sync::Arc::clone(inner.metrics());
+fn run_query<P: Snapshots>(
+    inner: &Inner,
+    stream: &mut TcpStream,
+    db: &Arc<P>,
+    tenant: &str,
+    query: &str,
+) {
+    let metrics = Arc::clone(inner.metrics());
     let quota = inner.config.tenants.get(tenant).copied().unwrap_or(inner.config.default_quota);
     let waited = inner.bucket_for(tenant).acquire();
     if !waited.is_zero() {
         metrics.serve_throttled.inc();
         metrics.serve_throttle_ns.record_duration(waited);
     }
-    let mut session = inner.backend.new_session(quota.max_rows);
+    let mut session = open_session(db, quota.max_rows);
     let started = Instant::now();
-    let response = crate::server::dispatch(
-        inner,
-        &mut session,
-        &Request::Query { text: query.into() },
-        &metrics,
-    );
+    let response = dispatch(inner, &mut session, &Request::Query { text: query.into() }, &metrics);
     metrics.serve_requests.inc();
     metrics.serve_request_ns.record_duration(started.elapsed());
     match response {

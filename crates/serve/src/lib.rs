@@ -39,4 +39,4 @@ pub mod server;
 pub use client::{Client, ClientError, RowsResult, WriteResult};
 pub use protocol::{ErrorCode, ProtocolError, Request, Response};
 pub use quota::{TenantQuota, TokenBucket};
-pub use server::{Backend, ServeConfig, Server, SessionKind};
+pub use server::{Backend, ServeConfig, Server};

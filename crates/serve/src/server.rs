@@ -19,11 +19,11 @@
 //! `/healthz` and `POST /query`).
 //!
 //! A binary session starts with a `Hello` handshake naming the tenant,
-//! then holds a [`SharedSession`]/[`ShardedSession`] — with its
-//! generation-keyed query cache and plan cache — for the connection's
-//! lifetime, so repeated queries from one client hit warm caches exactly
-//! as they would embedded. Reads poll with a short timeout: a silent
-//! connection costs one wakeup per tick, an idle one past
+//! then holds a [`SnapshotSession`] over the backend's snapshot provider
+//! — with its epoch-keyed query cache and plan cache — for the
+//! connection's lifetime, so repeated queries from one client hit warm
+//! caches exactly as they would embedded. Reads poll with a short
+//! timeout: a silent connection costs one wakeup per tick, an idle one past
 //! [`ServeConfig::idle_timeout`] is evicted, and a half-sent frame
 //! (slow-loris) is held in the frame buffer until the same idle clock
 //! evicts it.
@@ -41,7 +41,7 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use loosedb_browse::{SessionError, ShardedSession, SharedSession};
+use loosedb_browse::{SessionError, SnapshotSession, Snapshots};
 use loosedb_engine::{
     persist, ClosureError, DurableDatabase, DurableError, ShardedDatabase, SharedDatabase,
     TransactionError,
@@ -105,16 +105,6 @@ pub enum Backend {
     },
     /// A hash-partitioned database; sessions run scatter-gather reads.
     Sharded(Arc<ShardedDatabase>),
-}
-
-/// One connection's session: the same browse-layer object an embedded
-/// caller would hold, so per-session answer and plan caches behave
-/// identically served and embedded.
-pub enum SessionKind {
-    /// Session over a [`SharedDatabase`] (also the durable mirror).
-    Shared(SharedSession),
-    /// Scatter-gather session over a [`ShardedDatabase`].
-    Sharded(ShardedSession),
 }
 
 /// A write refusal, mapped onto the wire error codes.
@@ -187,26 +177,6 @@ impl Backend {
             Backend::Shared(db) => db.epoch(),
             Backend::Durable { serving, .. } => serving.epoch(),
             Backend::Sharded(db) => db.epochs().iter().sum(),
-        }
-    }
-
-    pub(crate) fn new_session(&self, max_rows: usize) -> SessionKind {
-        match self {
-            Backend::Shared(db) => {
-                let mut s = SharedSession::new(Arc::clone(db));
-                s.probe_opts.eval.max_rows = max_rows;
-                SessionKind::Shared(s)
-            }
-            Backend::Durable { serving, .. } => {
-                let mut s = SharedSession::new(Arc::clone(serving));
-                s.probe_opts.eval.max_rows = max_rows;
-                SessionKind::Shared(s)
-            }
-            Backend::Sharded(db) => {
-                let mut s = ShardedSession::new(Arc::clone(db));
-                s.probe_opts.eval.max_rows = max_rows;
-                SessionKind::Sharded(s)
-            }
         }
     }
 
@@ -561,11 +531,32 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
             Err(_) => return,
         }
     }
-    if u16::from_le_bytes(first) == MAGIC {
-        binary_session(inner, stream);
-    } else {
-        http::handle(inner, stream);
+    let binary = u16::from_le_bytes(first) == MAGIC;
+    // The one place the backend picks the snapshot provider this
+    // connection's sessions read from.
+    match &inner.backend {
+        Backend::Shared(db) | Backend::Durable { serving: db, .. } => {
+            serve_connection(inner, stream, db, binary)
+        }
+        Backend::Sharded(db) => serve_connection(inner, stream, db, binary),
     }
+}
+
+fn serve_connection<P: Snapshots>(inner: &Inner, stream: TcpStream, db: &Arc<P>, binary: bool) {
+    if binary {
+        binary_session(inner, stream, db);
+    } else {
+        http::handle(inner, stream, db);
+    }
+}
+
+/// A session over `db` under a tenant's row budget: the same browse-layer
+/// object an embedded caller would hold, so per-session answer and plan
+/// caches behave identically served and embedded.
+pub(crate) fn open_session<P: Snapshots>(db: &Arc<P>, max_rows: usize) -> SnapshotSession<P> {
+    let mut session = SnapshotSession::new(Arc::clone(db));
+    session.probe_opts.eval.max_rows = max_rows;
+    session
 }
 
 /// Incrementally reassembles frames from a polled socket, keeping
@@ -645,7 +636,7 @@ fn send(stream: &mut TcpStream, metrics: &Metrics, response: &Response) -> bool 
 
 /// The framed session loop: handshake, then one request at a time until
 /// `Bye`, disconnect, idle eviction or shutdown.
-fn binary_session(inner: &Inner, mut stream: TcpStream) {
+fn binary_session<P: Snapshots>(inner: &Inner, mut stream: TcpStream, db: &Arc<P>) {
     let metrics = Arc::clone(inner.metrics());
     let mut reader = FrameReader::new();
     let mut last_activity = Instant::now();
@@ -709,7 +700,7 @@ fn binary_session(inner: &Inner, mut stream: TcpStream) {
     let quota = inner.quota_for(&tenant);
     let bucket = inner.bucket_for(&tenant);
     let session_id = inner.next_session.fetch_add(1, Ordering::Relaxed);
-    let mut session = inner.backend.new_session(quota.max_rows);
+    let mut session = open_session(db, quota.max_rows);
     inner.session_started();
     if !send(
         &mut stream,
@@ -805,9 +796,9 @@ fn session_fail(metrics: &Metrics, e: &SessionError) -> Response {
     Response::Fail { code, message }
 }
 
-pub(crate) fn dispatch(
+pub(crate) fn dispatch<P: Snapshots>(
     inner: &Inner,
-    session: &mut SessionKind,
+    session: &mut SnapshotSession<P>,
     request: &Request,
     metrics: &Metrics,
 ) -> Response {
@@ -817,43 +808,23 @@ pub(crate) fn dispatch(
             message: "session already established".into(),
         },
         Request::Bye => Response::Bye, // handled by the caller; kept total
-        Request::Query { text } => match session {
-            SessionKind::Shared(s) => match s.query(text) {
-                Ok(answer) => Response::Rows {
-                    epoch: s.epoch(),
-                    names: answer.names.clone(),
-                    rows: s.render_answer(&answer),
-                },
-                Err(e) => session_fail(metrics, &e),
+        // Rows carry the epoch the answer was evaluated at, not whatever
+        // was published while it was being rendered.
+        Request::Query { text } => match session.query(text) {
+            Ok(answer) => Response::Rows {
+                epoch: session.last_epoch(),
+                names: answer.names.clone(),
+                rows: session.render_answer(&answer),
             },
-            SessionKind::Sharded(s) => match s.query(text) {
-                Ok(answer) => Response::Rows {
-                    epoch: s.epochs().iter().sum(),
-                    names: answer.names.clone(),
-                    rows: s.render_answer(&answer),
-                },
-                Err(e) => session_fail(metrics, &e),
-            },
+            Err(e) => session_fail(metrics, &e),
         },
-        Request::Navigate { s, r, t } => {
-            let table = match session {
-                SessionKind::Shared(ses) => ses.navigate_parts(s, r, t),
-                SessionKind::Sharded(ses) => ses.navigate_parts(s, r, t),
-            };
-            match table {
-                Ok(table) => Response::Text { text: table.to_string() },
-                Err(e) => session_fail(metrics, &e),
-            }
-        }
-        Request::Probe { text } => match session {
-            SessionKind::Shared(s) => match s.probe(text) {
-                Ok(report) => Response::Text { text: s.render_probe(&report) },
-                Err(e) => session_fail(metrics, &e),
-            },
-            SessionKind::Sharded(s) => match s.probe(text) {
-                Ok(report) => Response::Text { text: s.render_probe(&report) },
-                Err(e) => session_fail(metrics, &e),
-            },
+        Request::Navigate { s, r, t } => match session.navigate_parts(s, r, t) {
+            Ok(table) => Response::Text { text: table.to_string() },
+            Err(e) => session_fail(metrics, &e),
+        },
+        Request::Probe { text } => match session.probe(text) {
+            Ok(report) => Response::Text { text: session.render_probe(&report) },
+            Err(e) => session_fail(metrics, &e),
         },
         Request::Publish { checked, facts } => {
             if inner.stopping() {

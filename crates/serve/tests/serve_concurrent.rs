@@ -7,11 +7,12 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use loosedb_browse::SharedSession;
 use loosedb_datagen::music_world;
-use loosedb_engine::SharedDatabase;
+use loosedb_engine::{ShardedDatabase, SharedDatabase};
 use loosedb_serve::{Backend, Client, ServeConfig, Server};
 
 const THREADS: usize = 6;
@@ -111,4 +112,44 @@ fn served_sessions_agree_with_the_embedded_oracle() {
     // The server-reported epoch matches the database's own.
     assert_eq!(served.epoch(), shared.epoch(), "epoch drifted between faces");
     server.shutdown();
+}
+
+/// A served answer carries the epoch it was evaluated at. One writer adds
+/// `(W<i>, LIKES, TARGET)` facts, each one publish on one shard, so an
+/// answer evaluated at epoch `e` has exactly `e - e0` rows; a reader
+/// racing the writer checks that for every `Rows` it gets back.
+#[test]
+fn served_rows_carry_the_epoch_they_were_answered_at() {
+    for backend in [
+        Backend::shared(Arc::new(SharedDatabase::new(music_world()).expect("closure"))),
+        Backend::sharded(Arc::new(ShardedDatabase::new(4).expect("shards"))),
+    ] {
+        let e0 = backend.epoch();
+        let mut server = Server::start(backend, ServeConfig::default()).expect("bind");
+        let addr = server.local_addr();
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let done = Arc::clone(&done);
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, "writer").expect("connect writer");
+                for i in 0..2000 {
+                    if done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let fact = (format!("W{i}"), "LIKES".into(), "TARGET".into());
+                    assert_eq!(client.publish(false, vec![fact]).expect("publish").applied, 1);
+                }
+                client.bye().expect("bye");
+            })
+        };
+        let mut client = Client::connect(addr, "reader").expect("connect");
+        for _ in 0..300 {
+            let rows = client.query("Q(?x) := (?x, LIKES, TARGET)").expect("query");
+            assert_eq!(rows.rows.len() as u64, rows.epoch - e0, "rows answered at another epoch");
+        }
+        done.store(true, Ordering::Release);
+        writer.join().expect("writer");
+        client.bye().expect("bye");
+        server.shutdown();
+    }
 }

@@ -12,6 +12,7 @@
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
+use loosedb::browse::{SnapshotSession, Snapshots};
 use loosedb::datagen::{company, music_world, probing_world, university};
 use loosedb::{
     Database, Replica, RuleGroup, Session, ShardedDatabase, ShardedSession, SharedSession,
@@ -261,31 +262,12 @@ fn dispatch(repl: &mut Repl, line: &str) -> Result<(), String> {
         _ => {}
     }
     if let Some(mode) = repl.replica.as_mut() {
-        let s = &mut mode.session;
+        if read_command(&mut mode.session, cmd, rest)? {
+            return Ok(());
+        }
         match cmd {
-            "focus" | "f" => print!("{}", s.focus(rest).map_err(|e| e.to_string())?),
-            "back" => print!("{}", s.back().map_err(|e| e.to_string())?),
-            "try" => print!("{}", s.try_entity(rest).map_err(|e| e.to_string())?),
-            "nav" => {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                let [a, b, c] = parts.as_slice() else {
-                    return Err("usage: nav <s> <r> <t>".into());
-                };
-                print!("{}", s.navigate_parts(a, b, c).map_err(|e| e.to_string())?);
-            }
-            "query" | "q" => {
-                let generation = s.snapshot();
-                let answer = s.query(rest).map_err(|e| e.to_string())?;
-                print!("{}", answer.render(generation.interner()));
-                println!("({} answer(s))", answer.len());
-            }
-            "probe" | "p" => {
-                let report = s.probe(rest).map_err(|e| e.to_string())?;
-                print!("{}", s.render_probe(&report));
-            }
-            "plan" => print!("{}", s.explain_query(rest).map_err(|e| e.to_string())?),
             "stats" => {
-                let generation = s.snapshot();
+                let generation = mode.session.snapshot();
                 let stats = generation.store().stats();
                 println!(
                     "{} facts, {} entities, {} distinct relationships (epoch {})",
@@ -296,14 +278,11 @@ fn dispatch(repl: &mut Repl, line: &str) -> Result<(), String> {
                 );
             }
             "metrics" => {
-                let mode = repl.replica.as_ref().expect("checked");
                 print!(
                     "{}",
                     loosedb::obs::prometheus_text(mode.replica.shared().metrics().registry())
                 );
             }
-            "help" => println!("{HELP}"),
-            "spans" => return spans(rest),
             other => {
                 return Err(format!(
                     "{other:?} is unavailable in replica mode (read-only); \
@@ -314,29 +293,10 @@ fn dispatch(repl: &mut Repl, line: &str) -> Result<(), String> {
         return Ok(());
     }
     if let Some(mode) = repl.sharded.as_mut() {
-        let s = &mut mode.session;
+        if read_command(&mut mode.session, cmd, rest)? {
+            return Ok(());
+        }
         match cmd {
-            "focus" | "f" => print!("{}", s.focus(rest).map_err(|e| e.to_string())?),
-            "back" => print!("{}", s.back().map_err(|e| e.to_string())?),
-            "try" => print!("{}", s.try_entity(rest).map_err(|e| e.to_string())?),
-            "nav" => {
-                let parts: Vec<&str> = rest.split_whitespace().collect();
-                let [a, b, c] = parts.as_slice() else {
-                    return Err("usage: nav <s> <r> <t>".into());
-                };
-                print!("{}", s.navigate_parts(a, b, c).map_err(|e| e.to_string())?);
-            }
-            "query" | "q" => {
-                let snap = s.snapshot();
-                let answer = s.query(rest).map_err(|e| e.to_string())?;
-                print!("{}", answer.render(snap.interner()));
-                println!("({} answer(s))", answer.len());
-            }
-            "probe" | "p" => {
-                let report = s.probe(rest).map_err(|e| e.to_string())?;
-                print!("{}", s.render_probe(&report));
-            }
-            "plan" => print!("{}", s.explain_query(rest).map_err(|e| e.to_string())?),
             "add" | "tryadd" | "del" => {
                 let (a, b, c) = fact_args(cmd, rest)?;
                 sharded_edit(&mode.db, cmd, &a, &b, &c)?;
@@ -345,16 +305,6 @@ fn dispatch(repl: &mut Repl, line: &str) -> Result<(), String> {
             "metrics" => {
                 print!("{}", loosedb::obs::prometheus_text(mode.db.metrics().registry()));
             }
-            "history" => {
-                let snap = s.snapshot();
-                let names: Vec<String> = s.history().iter().map(|&e| snap.display(e)).collect();
-                println!(
-                    "{}",
-                    if names.is_empty() { "(empty)".to_string() } else { names.join(" → ") }
-                );
-            }
-            "help" => println!("{HELP}"),
-            "spans" => return spans(rest),
             other => {
                 return Err(format!("{other:?} is unavailable in sharded mode; 'shards off' first"))
             }
@@ -562,6 +512,58 @@ fn dispatch(repl: &mut Repl, line: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// The read commands replica and sharded mode share, over either snapshot
+/// provider. Returns whether `cmd` was one of them.
+fn read_command<P: Snapshots>(
+    s: &mut SnapshotSession<P>,
+    cmd: &str,
+    rest: &str,
+) -> Result<bool, String> {
+    let err = |e: loosedb::SessionError| e.to_string();
+    match cmd {
+        "focus" | "f" => print!("{}", s.focus(rest).map_err(err)?),
+        "back" => print!("{}", s.back().map_err(err)?),
+        "try" => print!("{}", s.try_entity(rest).map_err(err)?),
+        "nav" => {
+            let parts: Vec<&str> = rest.split_whitespace().collect();
+            let [a, b, c] = parts.as_slice() else {
+                return Err("usage: nav <s> <r> <t>".into());
+            };
+            print!("{}", s.navigate_parts(a, b, c).map_err(err)?);
+        }
+        "query" | "q" => {
+            let answer = s.query(rest).map_err(err)?;
+            if answer.columns.is_empty() {
+                println!("{}", answer.is_true());
+            } else {
+                println!("{}", answer.names.join(" | "));
+                for row in s.render_answer(&answer) {
+                    println!("{}", row.join(" | "));
+                }
+            }
+            println!("({} answer(s))", answer.len());
+        }
+        "probe" | "p" => {
+            let report = s.probe(rest).map_err(err)?;
+            print!("{}", s.render_probe(&report));
+        }
+        "plan" => print!("{}", s.explain_query(rest).map_err(err)?),
+        "history" => {
+            let snap = s.snapshot();
+            let names: Vec<String> =
+                s.history().iter().map(|&e| P::interner(&snap).display(e)).collect();
+            println!(
+                "{}",
+                if names.is_empty() { "(empty)".to_string() } else { names.join(" → ") }
+            );
+        }
+        "help" => println!("{HELP}"),
+        "spans" => spans(rest)?,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
 /// The `shards` command: enter sharded mode (`shards <n>`), show the
 /// per-shard status table (`shards`), or merge back out (`shards off`).
 fn shards_command(repl: &mut Repl, rest: &str) -> Result<(), String> {
@@ -659,7 +661,7 @@ fn sharded_edit(db: &ShardedDatabase, cmd: &str, s: &str, r: &str, t: &str) -> R
     Ok(())
 }
 
-/// The `spans` command, shared by local and replica mode.
+/// The `spans` command, shared by every local mode.
 fn spans(rest: &str) -> Result<(), String> {
     match rest {
         "on" => {

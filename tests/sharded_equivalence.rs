@@ -6,11 +6,12 @@
 //! closure a single store would compute — same facts, same exactness
 //! judgments, same integrity violations, same active domain, and same
 //! answers to every query, whether it scatters whole (collocated) or
-//! gathers through the union view. This suite drives random worlds with
-//! taxonomy edges, synonyms and inversions through random add/remove
-//! interleavings at N ∈ {1, 2, 4} shards and demands all five
-//! agreements, mirroring `incremental_removal_equals_recompute` in
-//! `tests/properties.rs`.
+//! gathers through the union view — and the same probe menus (§5), whose
+//! retraction taxonomy a sharded session assembles from its shards. This
+//! suite drives random worlds with taxonomy edges, synonyms and
+//! inversions through random add/remove interleavings at N ∈ {1, 2, 4}
+//! shards and demands all six agreements, mirroring
+//! `incremental_removal_equals_recompute` in `tests/properties.rs`.
 //!
 //! Ids differ between the sharded and single interners, so every
 //! comparison goes through display strings (portable across interners).
@@ -22,7 +23,8 @@ use proptest::prelude::*;
 
 use loosedb::engine::Violation;
 use loosedb::{
-    parse, Database, EntityValue, Fact, ShardedDatabase, ShardedSession, ShardedSnapshot,
+    parse, probe, Database, EntityValue, Fact, ProbeOptions, ProbeReport, ShardedDatabase,
+    ShardedSession, ShardedSnapshot,
 };
 
 /// A compact description of a random database: node entities N0..N9,
@@ -99,6 +101,19 @@ const QUERIES: &[&str] = &[
     "Q(?x) := (?x, R0, N1) | (?x, R1, N1)",
 ];
 
+/// Probes compared on every generated world: queries that mostly fail,
+/// whose retraction specializes N9 and generalizes N0, N5 and R0/R1
+/// through the generated `gen` edges and `isa` memberships — so a sharded
+/// probe's taxonomy is checked against the single store's.
+const PROBES: &[&str] = &["(N9, R0, N0)", "Q(?x) := (?x, isa, N5) & (?x, R1, N0)"];
+
+/// A probe's menu, every attempt's success flag wave by wave, and §5.2's
+/// critical-failure mark.
+fn probe_outcome(menu: String, report: &ProbeReport) -> (String, Vec<Vec<bool>>, bool) {
+    let flags = report.waves.iter().map(|w| w.attempts.iter().map(|a| a.succeeded()).collect());
+    (menu, flags.collect(), report.critical)
+}
+
 fn closure_displays(snap: &ShardedSnapshot) -> BTreeMap<String, bool> {
     let mut out = BTreeMap::new();
     for g in snap.generations() {
@@ -136,8 +151,8 @@ proptest! {
 
     /// For random worlds and random add/remove interleavings, a sharded
     /// database at N ∈ {1, 2, 4} is observationally identical to a
-    /// single store: closure facts, exactness, violations, domain and
-    /// all answer sets agree.
+    /// single store: closure facts, exactness, violations, domain, all
+    /// answer sets and all probe menus agree.
     #[test]
     fn sharded_equals_single_store(
         spec in db_spec(),
@@ -214,6 +229,14 @@ proptest! {
             let answer = loosedb::query::eval(&parsed, &view).unwrap();
             expected_answers.push(answer.render(single.store().interner()));
         }
+        let mut expected_probes = Vec::new();
+        for p in PROBES {
+            let parsed = parse(p, single.store_interner_mut()).unwrap();
+            let view = single.view().unwrap();
+            let report = probe(&parsed, &view, &ProbeOptions::default());
+            let menu = report.render_menu(single.store().interner());
+            expected_probes.push(probe_outcome(menu, &report));
+        }
 
         // --- Sharded replicas at N ∈ {1, 2, 4} ----------------------
         for n in [1usize, 2, 4] {
@@ -253,6 +276,11 @@ proptest! {
                 let answer = session.query(q).unwrap();
                 let rendered = answer.render(session.snapshot().interner());
                 prop_assert_eq!(&rendered, expected, "n={}: answers diverge on {}", n, q);
+            }
+            for (p, expected) in PROBES.iter().zip(&expected_probes) {
+                let report = session.probe(p).unwrap();
+                let got = probe_outcome(session.render_probe(&report), &report);
+                prop_assert_eq!(&got, expected, "n={}: probe menus diverge on {}", n, p);
             }
         }
     }
