@@ -78,6 +78,7 @@ impl PublishDelta {
     }
 }
 
+#[derive(Clone)]
 struct Cached {
     closure: Closure,
     store_epoch: u64,
@@ -393,7 +394,9 @@ impl Database {
     // Closure
     // ------------------------------------------------------------------
 
-    fn cache_is_fresh(&self) -> bool {
+    /// True if the cached closure is current: a write can extend or
+    /// retract it in place instead of leaving it for a recompute.
+    pub(crate) fn is_warm(&self) -> bool {
         match &self.cache {
             Some(c) => {
                 c.store_epoch == self.store.epoch()
@@ -409,7 +412,7 @@ impl Database {
     /// Recomputes the closure if facts, rules, kinds or configuration
     /// changed since the last computation.
     pub fn refresh(&mut self) -> Result<(), ClosureError> {
-        if self.cache_is_fresh() {
+        if self.is_warm() {
             return Ok(());
         }
         // A full recomputation can change any answer (removals, rule or
@@ -550,9 +553,18 @@ impl Database {
         t: impl Into<EntityValue>,
     ) -> Result<Fact, ClosureError> {
         let fact = Fact::new(self.entity(s), self.entity(r), self.entity(t));
+        self.insert_incremental(fact)?;
+        Ok(fact)
+    }
+
+    /// Inserts a fact by id, incrementally maintaining the closure — the
+    /// id-level core of [`Database::add_incremental`]. Returns whether the
+    /// fact was new. On an extension error the fact stays stored and the
+    /// closure cache is dropped (the next refresh recomputes).
+    pub(crate) fn insert_incremental(&mut self, fact: Fact) -> Result<bool, ClosureError> {
         self.refresh()?;
         if self.store.contains(&fact) {
-            return Ok(fact);
+            return Ok(false);
         }
         let mut cached = self.cache.take().expect("fresh after refresh");
         self.store.insert(fact);
@@ -572,7 +584,7 @@ impl Database {
         self.cache = Some(cached);
         self.note_extend_delta(delta);
         self.log_op(&fact, true);
-        Ok(fact)
+        Ok(true)
     }
 
     /// Removes a base fact and incrementally maintains the closure via
@@ -630,6 +642,25 @@ impl Database {
     fn note_retract_delta(&mut self, d: closure::RetractDelta) {
         if let PublishDelta::Rels(rels) = &mut self.pending_delta {
             rels.extend(d.rels);
+        }
+    }
+
+    /// A copy of this database to roll a write back to. Every large part
+    /// — store, interner, closure — is a persistent structure shared by
+    /// reference count, so a fork costs what a generation publish's
+    /// clones cost, not a copy of the world. The fork reports to the same
+    /// metrics registry.
+    pub(crate) fn fork(&self) -> Database {
+        Database {
+            store: self.store.clone(),
+            kinds: self.kinds.clone(),
+            rules: self.rules.clone(),
+            config: self.config.clone(),
+            strategy: self.strategy,
+            cache: self.cache.clone(),
+            wal: self.wal.clone(),
+            pending_delta: self.pending_delta.clone(),
+            metrics: Arc::clone(&self.metrics),
         }
     }
 

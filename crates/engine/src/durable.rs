@@ -1,11 +1,13 @@
-//! Crash-safe database journaling: a [`DurableDatabase`] wraps a
-//! [`Database`] with a write-ahead log, snapshot generations and a
-//! checksummed manifest, so the paper's "dynamic set of facts" (§6.1)
-//! survives process crashes and torn writes.
+//! Crash-safe database journaling: a [`Journal`] owns a write-ahead log,
+//! snapshot generations and a checksummed manifest, so the paper's
+//! "dynamic set of facts" (§6.1) survives process crashes and torn
+//! writes. [`DurableDatabase`] is a [`Database`] plus its journal;
+//! [`crate::SharedDatabase`] takes the same journal as a hook on its
+//! single writer.
 //!
 //! # On-disk layout
 //!
-//! A durable database owns a directory:
+//! A journal owns a directory:
 //!
 //! ```text
 //! <dir>/MANIFEST                 checksummed pointer to the live generation
@@ -16,30 +18,31 @@
 //! The manifest records the live generation number plus the byte length
 //! and CRC32 of its snapshot, and carries its own trailing CRC32; it is
 //! replaced atomically (temp + fsync + rename), making the manifest write
-//! the *commit point* of a checkpoint. Recovery reads the manifest, loads
-//! the snapshot it vouches for, then replays the generation's WAL frame
-//! by frame, stopping at the first torn or corrupt record and truncating
-//! the damaged tail. If the manifest itself is damaged or stale, recovery
+//! the *commit point* of a checkpoint. Recovery
+//! ([`DurableDatabase::open_with`]) reads the manifest, loads the
+//! snapshot it vouches for, then replays the generation's WAL frame by
+//! frame, stopping at the first torn or corrupt record and truncating the
+//! damaged tail. If the manifest itself is damaged or stale, recovery
 //! falls back to the newest snapshot that decodes, and to an empty
 //! database below that.
 //!
 //! # What is and is not journaled
 //!
-//! WAL records cover base-fact insertions and removals made through
-//! [`DurableDatabase::add`] / [`DurableDatabase::remove`] /
-//! [`DurableDatabase::try_add`]. Rules, kind declarations and
-//! configuration changes are captured by the *snapshot* at the next
-//! [`DurableDatabase::checkpoint`], not by the WAL — make them before
-//! writing facts, or checkpoint after changing them. Facts mentioning
-//! derived path entities are applied in memory but never logged (they are
+//! WAL records cover base-fact insertions and removals. Rules, kind
+//! declarations and configuration changes are captured by the *snapshot*
+//! at the next checkpoint, not by the WAL — make them before writing
+//! facts, or checkpoint after changing them. Facts mentioning derived
+//! path entities are applied in memory but never logged (they are
 //! store-specific and re-derivable; see [`loosedb_store::FactLog`]).
 
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Instant;
 
+use loosedb_obs::Metrics;
 use loosedb_store::io::{atomic_write_with, crc32, RealIo, StorageIo};
-use loosedb_store::log::{self as factlog, LogOp};
+use loosedb_store::log::{self as factlog, FactLog, LogOp};
 use loosedb_store::ship::{parse_generation, snap_name, wal_name, Manifest, MANIFEST_NAME};
 use loosedb_store::{EntityValue, Fact};
 
@@ -49,14 +52,14 @@ use crate::persist;
 /// When WAL appends are flushed to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Fsync after every append: an acknowledged operation is durable.
+    /// Fsync after every append: an acknowledged write is durable.
     Always,
-    /// Fsync after every `n` appends: at most `n` acknowledged operations
-    /// can be lost to a crash (power loss; OS crash). A plain process
-    /// crash loses nothing — the OS still holds the written bytes.
+    /// Fsync after every `n` appends: at most `n` acknowledged writes can
+    /// be lost to a crash (power loss; OS crash). A plain process crash
+    /// loses nothing — the OS still holds the written bytes.
     EveryN(u32),
-    /// Never fsync the WAL; only [`DurableDatabase::checkpoint`] (and
-    /// [`DurableDatabase::sync`]) make operations durable.
+    /// Never fsync the WAL; only a checkpoint (and
+    /// [`DurableDatabase::sync`]) make writes durable.
     OnCheckpoint,
 }
 
@@ -77,26 +80,197 @@ pub struct RecoveryInfo {
     pub wal_tail_truncated: bool,
 }
 
-/// A [`Database`] wrapped in a crash-safe journal: every fact mutation is
-/// appended to a checksummed write-ahead log before it is applied, and
-/// [`checkpoint`](DurableDatabase::checkpoint) rotates the log into a new
-/// atomic snapshot generation.
+/// The write-ahead half of a durable database: the directory, its I/O
+/// layer, the live generation, the [`SyncPolicy`] and WAL retention.
+///
+/// A journal does two things. [`append`](Journal::append) writes all of
+/// one write's operation frames in a single append, then fsyncs at most
+/// once as the policy asks. [`checkpoint`](Journal::checkpoint) encodes a
+/// database into the next snapshot generation and rotates the WAL. A
+/// failed append is cut back off the WAL, so a write its caller rolls
+/// back never reaches recovery and the next append lands on an intact
+/// log.
 ///
 /// The I/O layer is pluggable ([`StorageIo`]) so crash-recovery tests can
-/// inject faults at every I/O point; [`DurableDatabase::open`] uses the
-/// real filesystem.
-pub struct DurableDatabase<I: StorageIo = RealIo> {
+/// inject faults at every I/O point.
+pub struct Journal<I: StorageIo = RealIo> {
     io: I,
     dir: PathBuf,
-    db: Database,
     policy: SyncPolicy,
     generation: u64,
     /// Appends since the last fsync (for [`SyncPolicy::EveryN`]).
     unsynced: u32,
     /// Operations appended to the current WAL (recovered + new).
     wal_ops: u64,
+    /// Bytes of intact frames in the current WAL: where a failed append
+    /// is cut back to.
+    wal_len: u64,
+    /// A failed append may have left a torn tail past `wal_len` that
+    /// could not be cut yet; the next append cuts it first.
+    torn: bool,
     /// Retired WAL generations kept for lagging replication followers.
     retain_wals: u64,
+    /// The registry of the database this journal was opened with: WAL
+    /// appends, fsyncs and checkpoints report where its reads do.
+    metrics: Arc<Metrics>,
+}
+
+impl<I: StorageIo> Journal<I> {
+    /// A journal at `generation` with an empty WAL, reporting to `db`'s
+    /// metrics registry.
+    fn new(io: I, dir: PathBuf, policy: SyncPolicy, generation: u64, db: &Database) -> Self {
+        Journal {
+            io,
+            dir,
+            policy,
+            generation,
+            unsynced: 0,
+            wal_ops: 0,
+            wal_len: 0,
+            torn: false,
+            retain_wals: 0,
+            metrics: Arc::clone(db.metrics()),
+        }
+    }
+
+    /// Appends one write's operations to the WAL — every frame in one
+    /// append — then fsyncs at most once, as the [`SyncPolicy`] asks. An
+    /// empty log touches nothing.
+    ///
+    /// On error the WAL is cut back to its length before the call (or,
+    /// if that cut fails too, before the next append), so the caller can
+    /// roll the write back knowing recovery will never replay it.
+    pub fn append(&mut self, log: &FactLog) -> io::Result<()> {
+        if log.is_empty() {
+            return Ok(());
+        }
+        let wal = self.wal_path();
+        if self.torn && self.io.exists(&wal) {
+            self.io.truncate(&wal, self.wal_len)?;
+        }
+        self.torn = false;
+        let frames = log.as_slice();
+        let mut span = loosedb_obs::span!("store.wal.append", bytes = frames.len());
+        if let Err(e) = self.io.append(&wal, frames) {
+            self.cut_back(&wal);
+            return Err(e);
+        }
+        self.metrics.wal_appends.inc();
+        self.metrics.wal_append_bytes.add(frames.len() as u64);
+        let fsync = match self.policy {
+            SyncPolicy::Always => true,
+            SyncPolicy::EveryN(n) => {
+                self.unsynced += 1;
+                self.unsynced >= n.max(1)
+            }
+            SyncPolicy::OnCheckpoint => false,
+        };
+        if fsync {
+            if let Err(e) = self.fsync_timed(&wal) {
+                self.cut_back(&wal);
+                return Err(e);
+            }
+            span.record("fsynced", true);
+            self.unsynced = 0;
+        }
+        self.wal_len += frames.len() as u64;
+        self.wal_ops += log.len() as u64;
+        Ok(())
+    }
+
+    /// Drops whatever a failed append left past the intact frames.
+    fn cut_back(&mut self, wal: &Path) {
+        self.torn = self.io.exists(wal) && self.io.truncate(wal, self.wal_len).is_err();
+    }
+
+    /// One WAL fsync, with its latency recorded.
+    fn fsync_timed(&mut self, wal: &Path) -> io::Result<()> {
+        let started = Instant::now();
+        let _span = loosedb_obs::span!("store.wal.fsync");
+        self.io.fsync(wal)?;
+        self.metrics.wal_fsyncs.inc();
+        self.metrics.wal_fsync_ns.record_duration(started.elapsed());
+        Ok(())
+    }
+
+    /// Flushes any unsynced WAL appends to stable storage now.
+    fn sync(&mut self) -> io::Result<()> {
+        let wal = self.wal_path();
+        if self.io.exists(&wal) {
+            self.fsync_timed(&wal)?;
+        }
+        self.unsynced = 0;
+        Ok(())
+    }
+
+    /// Writes `db` as the next snapshot generation and rotates the WAL.
+    ///
+    /// Sequence: write `snap-<gen+1>` atomically → create its empty WAL →
+    /// atomically replace the manifest (the commit point) → retire the
+    /// previous generation's files. A crash *before* the manifest write
+    /// recovers from the old generation (whose WAL still holds every
+    /// operation); a crash *after* it recovers from the new one. `db` must
+    /// hold every operation this journal appended. Returns the new
+    /// generation number.
+    pub fn checkpoint(&mut self, db: &Database) -> io::Result<u64> {
+        let started = Instant::now();
+        let next = self.generation + 1;
+        let _span = loosedb_obs::span!("store.wal.checkpoint", generation = next);
+        self.write_generation(db, next)?;
+
+        // The new generation is durable; retire everything older. Stale
+        // snapshots always go (only the manifest's one matters); retired
+        // WALs within the retention window stay so a lagging follower
+        // can finish tailing them instead of re-bootstrapping.
+        let wal_floor = next.saturating_sub(self.retain_wals);
+        self.generation = next;
+        self.unsynced = 0;
+        self.wal_ops = 0;
+        self.wal_len = 0;
+        self.torn = false;
+        for path in self.io.list(&self.dir).unwrap_or_default() {
+            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
+            let stale = parse_generation(name, "snap-", ".lsdf").is_some_and(|g| g < next)
+                || parse_generation(name, "wal-", ".log").is_some_and(|g| g < wal_floor);
+            if stale {
+                self.io.remove_file(&path)?;
+            }
+        }
+        self.metrics.checkpoints.inc();
+        self.metrics.checkpoint_ns.record_duration(started.elapsed());
+        Ok(next)
+    }
+
+    /// Writes `snap-<generation>` atomically, creates its empty WAL, then
+    /// atomically replaces the manifest — the commit point.
+    fn write_generation(&self, db: &Database, generation: u64) -> io::Result<()> {
+        let image = persist::encode(db);
+        atomic_write_with(&self.io, &self.dir.join(snap_name(generation)), &image)?;
+        let wal = self.dir.join(wal_name(generation));
+        self.io.write(&wal, &[])?;
+        self.io.fsync(&wal)?;
+        let manifest =
+            Manifest { generation, snapshot_len: image.len() as u64, snapshot_crc: crc32(&image) };
+        atomic_write_with(&self.io, &self.dir.join(MANIFEST_NAME), &manifest.encode())
+    }
+
+    fn wal_path(&self) -> PathBuf {
+        self.dir.join(wal_name(self.generation))
+    }
+}
+
+/// A [`Database`] with its [`Journal`]: every fact mutation is appended
+/// to the write-ahead log before it is applied, and
+/// [`checkpoint`](DurableDatabase::checkpoint) rotates the log into a new
+/// atomic snapshot generation.
+///
+/// Writes keep a warm closure warm — insertions extend it and removals
+/// retract it in place — while a cold one (bulk load, WAL replay) stays
+/// cold until something reads it. [`DurableDatabase::open`] uses the real
+/// filesystem.
+pub struct DurableDatabase<I: StorageIo = RealIo> {
+    db: Database,
+    journal: Journal<I>,
     recovery: RecoveryInfo,
 }
 
@@ -165,6 +339,7 @@ impl<I: StorageIo> DurableDatabase<I> {
 
         // 3. Replay the live WAL, leniently.
         let wal_path = dir.join(wal_name(recovery.generation));
+        let mut wal_len = 0;
         if io.exists(&wal_path) {
             let data = io.read(&wal_path)?;
             let mut frames = factlog::Frames::new(&data);
@@ -177,23 +352,19 @@ impl<I: StorageIo> DurableDatabase<I> {
                     Err(_) => recovery.wal_tail_truncated = true,
                 }
             }
+            wal_len = frames.valid_bytes() as u64;
             if recovery.wal_tail_truncated {
-                io.truncate(&wal_path, frames.valid_bytes() as u64)?;
+                io.truncate(&wal_path, wal_len)?;
             }
         }
 
         db.metrics().wal_recovered_ops.add(recovery.wal_ops_applied as u64);
-        Ok(DurableDatabase {
-            io,
-            dir,
-            db,
-            policy,
-            generation: recovery.generation,
-            unsynced: 0,
+        let journal = Journal {
             wal_ops: recovery.wal_ops_applied as u64,
-            retain_wals: 0,
-            recovery,
-        })
+            wal_len,
+            ..Journal::new(io, dir, policy, recovery.generation, &db)
+        };
+        Ok(DurableDatabase { db, journal, recovery })
     }
 
     /// Creates a durable database directory holding `db` at an explicit
@@ -216,26 +387,12 @@ impl<I: StorageIo> DurableDatabase<I> {
         if !io.exists(&dir) {
             io.create_dir_all(&dir)?;
         }
-        let image = persist::encode(&db);
-        atomic_write_with(&io, &dir.join(snap_name(generation)), &image)?;
-        let wal = dir.join(wal_name(generation));
-        io.write(&wal, &[])?;
-        io.fsync(&wal)?;
-        let manifest =
-            Manifest { generation, snapshot_len: image.len() as u64, snapshot_crc: crc32(&image) };
-        atomic_write_with(&io, &dir.join(MANIFEST_NAME), &manifest.encode())?;
+        let journal = Journal::new(io, dir, policy, generation, &db);
+        journal.write_generation(&db, generation)?;
         db.metrics().checkpoints.inc();
-        Ok(DurableDatabase {
-            io,
-            dir,
-            db,
-            policy,
-            generation,
-            unsynced: 0,
-            wal_ops: 0,
-            retain_wals: 0,
-            recovery: RecoveryInfo { generation, snapshot_loaded: true, ..RecoveryInfo::default() },
-        })
+        let recovery =
+            RecoveryInfo { generation, snapshot_loaded: true, ..RecoveryInfo::default() };
+        Ok(DurableDatabase { db, journal, recovery })
     }
 
     // ------------------------------------------------------------------
@@ -252,8 +409,17 @@ impl<I: StorageIo> DurableDatabase<I> {
         t: impl Into<EntityValue>,
     ) -> io::Result<Fact> {
         let (s, r, t) = (s.into(), r.into(), t.into());
-        self.journal(&LogOp::Insert(s.clone(), r.clone(), t.clone()))?;
-        Ok(self.db.add(s, r, t))
+        self.journal_op(&LogOp::Insert(s.clone(), r.clone(), t.clone()))?;
+        let fact = Fact::new(self.db.entity(s), self.db.entity(r), self.db.entity(t));
+        if self.db.is_warm() {
+            // An extension error drops the closure cache and keeps the
+            // fact: the store agrees with the WAL, the next read
+            // recomputes.
+            let _ = self.db.insert_incremental(fact);
+        } else {
+            self.db.insert(fact);
+        }
+        Ok(fact)
     }
 
     /// Durably removes a base fact; `Ok(false)` if it was not present
@@ -268,15 +434,17 @@ impl<I: StorageIo> DurableDatabase<I> {
             store.value(f.r).clone(),
             store.value(f.t).clone(),
         );
-        self.journal(&op)?;
-        match self.db.remove_incremental(f) {
-            Ok(removed) => Ok(removed),
+        self.journal_op(&op)?;
+        if self.db.is_warm() {
             // Retraction errors (e.g. unbounded composition mid-rederive)
             // leave the closure cache invalidated; the fact is gone from
             // the store and journaled, so removal still holds — the next
             // refresh recomputes.
-            Err(_) => Ok(true),
+            let _ = self.db.remove_incremental(f);
+        } else {
+            self.db.remove(f);
         }
+        Ok(true)
     }
 
     /// Durable transactional insert: integrity-checked in memory first
@@ -292,119 +460,34 @@ impl<I: StorageIo> DurableDatabase<I> {
     ) -> Result<Fact, DurableError> {
         let (s, r, t) = (s.into(), r.into(), t.into());
         let fact = self.db.try_add(s.clone(), r.clone(), t.clone())?;
-        if let Err(e) = self.journal(&LogOp::Insert(s, r, t)) {
-            self.db.remove(&fact);
+        if let Err(e) = self.journal_op(&LogOp::Insert(s, r, t)) {
+            let _ = self.db.remove_incremental(&fact);
             return Err(DurableError::Io(e));
         }
         Ok(fact)
     }
 
-    /// Appends one operation frame to the WAL and flushes per policy.
-    /// Facts naming derived path entities are not journaled (no-op here).
-    fn journal(&mut self, op: &LogOp) -> io::Result<()> {
-        let values: [&EntityValue; 3] = match op {
-            LogOp::Insert(s, r, t) | LogOp::Remove(s, r, t) => [s, r, t],
-        };
-        if values.iter().any(|v| matches!(v, EntityValue::Path(_))) {
+    /// Appends one operation to the journal. Facts naming derived path
+    /// entities are not journaled (no-op here).
+    fn journal_op(&mut self, op: &LogOp) -> io::Result<()> {
+        let (LogOp::Insert(s, r, t) | LogOp::Remove(s, r, t)) = op;
+        if [s, r, t].iter().any(|v| matches!(v, EntityValue::Path(_))) {
             return Ok(());
         }
-        let frame = factlog::encode_frame(op);
-        let wal = self.wal_path();
-        let mut span = loosedb_obs::span!("store.wal.append", bytes = frame.len());
-        self.io.append(&wal, &frame)?;
-        let metrics = self.db.metrics();
-        metrics.wal_appends.inc();
-        metrics.wal_append_bytes.add(frame.len() as u64);
-        self.wal_ops += 1;
-        match self.policy {
-            SyncPolicy::Always => {
-                self.fsync_timed(&wal)?;
-                span.record("fsynced", true);
-            }
-            SyncPolicy::EveryN(n) => {
-                self.unsynced += 1;
-                if self.unsynced >= n.max(1) {
-                    self.fsync_timed(&wal)?;
-                    span.record("fsynced", true);
-                    self.unsynced = 0;
-                }
-            }
-            SyncPolicy::OnCheckpoint => {}
-        }
-        Ok(())
-    }
-
-    /// One WAL fsync, with its latency recorded.
-    fn fsync_timed(&mut self, wal: &std::path::Path) -> io::Result<()> {
-        let started = Instant::now();
-        let _span = loosedb_obs::span!("store.wal.fsync");
-        self.io.fsync(wal)?;
-        let metrics = self.db.metrics();
-        metrics.wal_fsyncs.inc();
-        metrics.wal_fsync_ns.record_duration(started.elapsed());
-        Ok(())
+        let mut log = FactLog::new();
+        log.append(op);
+        self.journal.append(&log)
     }
 
     /// Flushes any unsynced WAL appends to stable storage now.
     pub fn sync(&mut self) -> io::Result<()> {
-        let wal = self.wal_path();
-        if self.io.exists(&wal) {
-            self.fsync_timed(&wal)?;
-        }
-        self.unsynced = 0;
-        Ok(())
+        self.journal.sync()
     }
 
-    // ------------------------------------------------------------------
-    // Checkpointing
-    // ------------------------------------------------------------------
-
-    /// Writes a new snapshot generation and rotates the WAL.
-    ///
-    /// Sequence: write `snap-<gen+1>` atomically → create its empty WAL →
-    /// atomically replace the manifest (the commit point) → retire the
-    /// previous generation's files. A crash *before* the manifest write
-    /// recovers from the old generation (whose WAL still holds every
-    /// operation); a crash *after* it recovers from the new one. Returns
-    /// the new generation number.
+    /// Writes a new snapshot generation and rotates the WAL (see
+    /// [`Journal::checkpoint`]). Returns the new generation number.
     pub fn checkpoint(&mut self) -> io::Result<u64> {
-        let started = Instant::now();
-        let next = self.generation + 1;
-        let _span = loosedb_obs::span!("store.wal.checkpoint", generation = next);
-        let image = persist::encode(&self.db);
-        atomic_write_with(&self.io, &self.dir.join(snap_name(next)), &image)?;
-
-        let new_wal = self.dir.join(wal_name(next));
-        self.io.write(&new_wal, &[])?;
-        self.io.fsync(&new_wal)?;
-
-        let manifest = Manifest {
-            generation: next,
-            snapshot_len: image.len() as u64,
-            snapshot_crc: crc32(&image),
-        };
-        atomic_write_with(&self.io, &self.dir.join(MANIFEST_NAME), &manifest.encode())?;
-
-        // The new generation is durable; retire everything older. Stale
-        // snapshots always go (only the manifest's one matters); retired
-        // WALs within the retention window stay so a lagging follower
-        // can finish tailing them instead of re-bootstrapping.
-        let wal_floor = next.saturating_sub(self.retain_wals);
-        self.generation = next;
-        self.unsynced = 0;
-        self.wal_ops = 0;
-        for path in self.io.list(&self.dir).unwrap_or_default() {
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            let stale = parse_generation(name, "snap-", ".lsdf").is_some_and(|g| g < next)
-                || parse_generation(name, "wal-", ".log").is_some_and(|g| g < wal_floor);
-            if stale {
-                self.io.remove_file(&path)?;
-            }
-        }
-        let metrics = self.db.metrics();
-        metrics.checkpoints.inc();
-        metrics.checkpoint_ns.record_duration(started.elapsed());
-        Ok(next)
+        self.journal.checkpoint(&self.db)
     }
 
     // ------------------------------------------------------------------
@@ -421,9 +504,15 @@ impl<I: StorageIo> DurableDatabase<I> {
         &self.db
     }
 
+    /// Splits into the recovered database and its journal — how a
+    /// [`crate::SharedDatabase`] takes both over, without copying either.
+    pub fn into_parts(self) -> (Database, Journal<I>) {
+        (self.db, self.journal)
+    }
+
     /// The metrics registry (shared with the wrapped database): WAL
     /// appends/fsyncs, checkpoints and recovery counters report here.
-    pub fn metrics(&self) -> &std::sync::Arc<loosedb_obs::Metrics> {
+    pub fn metrics(&self) -> &Arc<Metrics> {
         self.db.metrics()
     }
 
@@ -434,32 +523,32 @@ impl<I: StorageIo> DurableDatabase<I> {
 
     /// The live snapshot generation.
     pub fn generation(&self) -> u64 {
-        self.generation
+        self.journal.generation
     }
 
     /// Operations sitting in the current WAL (replayed + appended).
     pub fn wal_ops(&self) -> u64 {
-        self.wal_ops
+        self.journal.wal_ops
     }
 
     /// The journal directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        &self.journal.dir
     }
 
     /// The underlying I/O layer (fault-injection tests inspect it).
     pub fn io_ref(&self) -> &I {
-        &self.io
+        &self.journal.io
     }
 
     /// The current sync policy.
     pub fn policy(&self) -> SyncPolicy {
-        self.policy
+        self.journal.policy
     }
 
     /// Changes the sync policy for subsequent appends.
     pub fn set_policy(&mut self, policy: SyncPolicy) {
-        self.policy = policy;
+        self.journal.policy = policy;
     }
 
     /// Keeps the WALs of the last `n` retired generations through future
@@ -467,20 +556,17 @@ impl<I: StorageIo> DurableDatabase<I> {
     /// this directory can then finish a rotated segment instead of
     /// re-bootstrapping whenever a checkpoint outruns it.
     pub fn set_retain_wals(&mut self, n: u64) {
-        self.retain_wals = n;
+        self.journal.retain_wals = n;
     }
 
     /// Retired WAL generations kept for followers.
     pub fn retain_wals(&self) -> u64 {
-        self.retain_wals
-    }
-
-    fn wal_path(&self) -> PathBuf {
-        self.dir.join(wal_name(self.generation))
+        self.journal.retain_wals
     }
 }
 
-/// Applies a recovered WAL operation to the in-memory database.
+/// Applies a recovered WAL operation to the in-memory database — the
+/// plain path: replay leaves the closure cold for one computation later.
 fn apply_to_db(db: &mut Database, op: LogOp) {
     match op {
         LogOp::Insert(s, r, t) => {
@@ -493,14 +579,15 @@ fn apply_to_db(db: &mut Database, op: LogOp) {
     }
 }
 
-/// Errors from durable transactional updates: either the transaction was
-/// rejected in memory, or the journal append failed (and the update was
-/// rolled back).
+/// Errors from a write that can be refused: either it was rejected in
+/// memory (integrity or closure), or its journal append failed — and in
+/// both cases it was rolled back. [`DurableDatabase::try_add`] and every
+/// write through [`crate::SharedDatabase`] return it.
 #[derive(Debug)]
 pub enum DurableError {
     /// The in-memory transaction was rejected (integrity or closure).
     Transaction(TransactionError),
-    /// Appending to the write-ahead log failed; the fact was rolled back.
+    /// Appending to the write-ahead log failed; the write was rolled back.
     Io(io::Error),
 }
 
@@ -518,6 +605,12 @@ impl std::error::Error for DurableError {}
 impl From<TransactionError> for DurableError {
     fn from(e: TransactionError) -> Self {
         DurableError::Transaction(e)
+    }
+}
+
+impl From<crate::closure::ClosureError> for DurableError {
+    fn from(e: crate::closure::ClosureError) -> Self {
+        DurableError::Transaction(TransactionError::Closure(e))
     }
 }
 
@@ -642,6 +735,57 @@ mod tests {
         // (JOHN, HATES, MARY) fact survived.
         let mary = db.database_ref().lookup_symbol("MARY").unwrap();
         assert!(!db.database_ref().contains_base(&Fact::new(john, hates.unwrap(), mary)));
+    }
+
+    #[test]
+    fn warm_closure_is_never_recomputed_by_writes() {
+        let io = Arc::new(MemIo::new());
+        let mut db = DurableDatabase::open_with(io.clone(), dir(), SyncPolicy::Always).unwrap();
+        // Cold writes (bulk load) take the plain path: nothing computes.
+        db.add("EMPLOYEE", "EARNS", "SALARY").unwrap();
+        db.add("LIKES", "inv", "LIKED-BY").unwrap();
+        assert_eq!(db.metrics().snapshot().closure.computes, 0);
+
+        db.database().closure().unwrap();
+        let computes = db.metrics().snapshot().closure.computes;
+        let john = db.database().entity("JOHN");
+        let earns = db.database().entity("EARNS");
+        let salary = db.database().entity("SALARY");
+        let earns_salary = Fact::new(john, earns, salary);
+        for _ in 0..2 {
+            let f = db.add("JOHN", "isa", "EMPLOYEE").unwrap();
+            assert!(db.database().closure().unwrap().contains(&earns_salary));
+            assert!(db.remove(&f).unwrap());
+            assert!(!db.database().closure().unwrap().contains(&earns_salary));
+        }
+        assert_eq!(db.metrics().snapshot().closure.computes, computes, "a write recomputed");
+
+        // Replay is a bulk load too: reopening computes nothing.
+        drop(db);
+        let db = DurableDatabase::open_with(io, dir(), SyncPolicy::Always).unwrap();
+        assert_eq!(db.recovery().wal_ops_applied, 6);
+        assert_eq!(db.metrics().snapshot().closure.computes, 0);
+    }
+
+    #[test]
+    fn failed_append_is_cut_off_the_wal() {
+        use loosedb_store::io::FaultIo;
+        // Opening creates the directory and the first add appends and
+        // fsyncs: the fourth I/O op, the second add's append, tears half
+        // its frame onto the WAL and fails.
+        let io = Arc::new(FaultIo::new(MemIo::new(), 3));
+        let mut db = DurableDatabase::open_with(io.clone(), dir(), SyncPolicy::Always).unwrap();
+        db.add("A", "R", "B").unwrap();
+        assert!(db.add("C", "R", "D").is_err());
+        io.heal();
+        db.add("E", "R", "F").unwrap();
+        drop(db);
+
+        // The torn frame was cut, so the write after it replays.
+        let db = DurableDatabase::open_with(io, dir(), SyncPolicy::Always).unwrap();
+        assert!(!db.recovery().wal_tail_truncated);
+        assert_eq!(db.recovery().wal_ops_applied, 2);
+        assert!(db.database_ref().lookup_symbol("E").is_some());
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use closure::{
 };
 pub use config::{InferenceConfig, RuleGroup};
 pub use database::{Database, PublishDelta, TransactionError};
-pub use durable::{DurableDatabase, DurableError, RecoveryInfo, SyncPolicy};
+pub use durable::{DurableDatabase, DurableError, Journal, RecoveryInfo, SyncPolicy};
 pub use kind::{KindRegistry, RelKind};
 pub use mathrel::{MathMatchError, MathTruth};
 pub use prove::Prover;

@@ -71,8 +71,8 @@ use loosedb_store::ship::{
 use loosedb_store::{crc32, Fact, LogOp, RealIo, StorageIo};
 
 use crate::closure::ClosureError;
-use crate::database::Database;
-use crate::durable::{DurableDatabase, SyncPolicy};
+use crate::database::{Database, TransactionError};
+use crate::durable::{DurableDatabase, DurableError, SyncPolicy};
 use crate::persist;
 use crate::shared::SharedDatabase;
 
@@ -177,6 +177,19 @@ impl std::error::Error for ReplicaError {}
 impl From<io::Error> for ReplicaError {
     fn from(e: io::Error) -> Self {
         ReplicaError::Io(e)
+    }
+}
+
+impl From<DurableError> for ReplicaError {
+    fn from(e: DurableError) -> Self {
+        match e {
+            DurableError::Transaction(TransactionError::Closure(e)) => ReplicaError::Closure(e),
+            DurableError::Io(e) => ReplicaError::Io(e),
+            // Replay is unchecked, so integrity never refuses it.
+            DurableError::Transaction(e @ TransactionError::Integrity(_)) => {
+                unreachable!("unchecked replay refused: {e}")
+            }
+        }
     }
 }
 
@@ -351,8 +364,7 @@ impl<I: StorageIo> Replica<I> {
             self.io.append(&mirror, &batch.bytes)?;
             self.io.fsync(&mirror)?;
             self.shared
-                .write(|db| apply_shipped(db, &batch.ops))
-                .map_err(ReplicaError::Closure)?
+                .write(|db| apply_shipped(db, &batch.ops))?
                 .map_err(ReplicaError::Closure)?;
             metrics.repl_frames_applied.add(batch.ops.len() as u64);
             metrics.repl_apply_ns.record_duration(started.elapsed());
@@ -552,7 +564,7 @@ impl<I: StorageIo> Replica<I> {
     /// caches invalidate correctly; the shared epoch keeps increasing.
     fn rebootstrap(&mut self, metrics: &Metrics) -> Result<(), ReplicaError> {
         let (db, cursor) = Self::bootstrap(&self.io, &self.leader_dir, &self.local_dir)?;
-        self.shared.write(|writer| *writer = db).map_err(ReplicaError::Closure)?;
+        self.shared.write(|writer| *writer = db)?;
         self.stream.seek(cursor);
         self.info.bootstraps += 1;
         metrics.repl_bootstraps.inc();
@@ -582,7 +594,7 @@ impl<I: StorageIo> Replica<I> {
                     let db = persist::decode(&data[..]).map_err(|e| {
                         ReplicaError::Bootstrap(format!("leader snapshot does not decode: {e}"))
                     })?;
-                    self.shared.write(|writer| *writer = db).map_err(ReplicaError::Closure)?;
+                    self.shared.write(|writer| *writer = db)?;
                     metrics.repl_bootstraps.inc();
                     self.info.bootstraps += 1;
                     image = data;
@@ -715,6 +727,39 @@ mod tests {
         assert_eq!(replica_state(&replica), leader_state(&leader));
         assert!(replica.poll().unwrap().caught_up);
         assert_eq!(replica.cursor().epoch, 2);
+    }
+
+    #[test]
+    fn follower_tails_a_journaled_shared_leader() {
+        // The journal hooked onto a shared writer appends each write's
+        // frames in one append; the follower's frame stream reads them,
+        // and the hook's checkpoint rotation, like any other leader's.
+        let mem = Arc::new(MemIo::new());
+        let io: Box<dyn StorageIo> = Box::new(Arc::clone(&mem));
+        let (db, journal) =
+            DurableDatabase::open_with(io, "/leader", SyncPolicy::Always).unwrap().into_parts();
+        let leader = SharedDatabase::journaled(db, journal).unwrap();
+        let mut replica = replica_on(&mem);
+        leader
+            .commit(false, |db| {
+                for (s, t) in [("JOHN", "FELIX"), ("MARY", "FELIX"), ("SUE", "TOM")] {
+                    db.add_incremental(s, "LIKES", t)?;
+                }
+                Ok(())
+            })
+            .unwrap();
+        let sue = leader.read_writer(|db| db.lookup_symbol("SUE").unwrap());
+        let likes = leader.read_writer(|db| db.lookup_symbol("LIKES").unwrap());
+        let tom = leader.read_writer(|db| db.lookup_symbol("TOM").unwrap());
+        assert!(leader.remove(&Fact::new(sue, likes, tom)).unwrap());
+        assert_eq!(replica.catch_up().unwrap(), 4);
+        let leader_state = || leader.read_writer(|db| rendered(db.store()));
+        assert_eq!(replica_state(&replica), leader_state());
+
+        assert_eq!(leader.checkpoint().unwrap(), Some(1));
+        leader.insert("TOM", "LIKES", "JAZZ").unwrap();
+        replica.catch_up().unwrap();
+        assert_eq!(replica_state(&replica), leader_state());
     }
 
     #[test]

@@ -73,7 +73,7 @@ use loosedb_store::{special, EntityId, EntityValue, Fact, FactStore, Interner, P
 use crate::closure::{ClosureError, Violation};
 use crate::config::RuleGroup;
 use crate::database::{Database, TransactionError};
-use crate::durable::{DurableDatabase, SyncPolicy};
+use crate::durable::{DurableDatabase, DurableError, SyncPolicy};
 use crate::rule::{Rule, RuleError};
 use crate::shared::{DeltaSummary, Generation, SharedDatabase};
 use crate::term::Term;
@@ -123,6 +123,15 @@ impl From<TransactionError> for ShardedError {
 impl From<io::Error> for ShardedError {
     fn from(e: io::Error) -> Self {
         ShardedError::Io(e)
+    }
+}
+impl From<DurableError> for ShardedError {
+    fn from(e: DurableError) -> Self {
+        match e {
+            DurableError::Transaction(TransactionError::Closure(e)) => ShardedError::Closure(e),
+            DurableError::Transaction(e) => ShardedError::Transaction(e),
+            DurableError::Io(e) => ShardedError::Io(e),
+        }
     }
 }
 
@@ -688,7 +697,7 @@ impl ShardedDatabase {
         }
         self.metrics.shard_route_rebroadcast.add(triples.len() as u64);
         for (i, shard) in self.shards.iter().enumerate() {
-            shard.write_if_changed(|db| {
+            shard.commit(false, |db| {
                 for (s, r, t) in &triples {
                     db.add_incremental(s.clone(), r.clone(), t.clone())?;
                 }

@@ -14,10 +14,14 @@
 //!   probing and queries against [`Generation::view`] for as long as they
 //!   like, entirely outside any lock.
 //! * A single writer (serialized by an internal mutex) applies updates to
-//!   the owned [`Database`], re-derives the closure — through the
-//!   incremental [`crate::closure::extend`] fast path for insertions —
-//!   and *publishes* the next generation by swapping an `Arc` pointer
-//!   under a `parking_lot` write lock held only for the assignment.
+//!   the owned [`Database`], maintains the closure incrementally —
+//!   [`crate::closure::extend`] for insertions, the retraction wave for
+//!   removals — and *publishes* the next generation by swapping an `Arc`
+//!   pointer under a `parking_lot` write lock held only for the
+//!   assignment. Every write runs [`SharedDatabase::commit`]'s one path:
+//!   apply → check → append → publish, where *append* hands the write's
+//!   operations to an optional [`Journal`] hook (durable serving) and a
+//!   refused write is rolled back before anything is published.
 //!
 //! Publishing is **O(delta · log N)**, not O(N): the store's triple
 //! indexes, the interner and the closure (facts, provenance, domain
@@ -40,16 +44,19 @@
 //! query cache in `loosedb-browse`).
 
 use std::collections::{BTreeSet, VecDeque};
+use std::io;
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
 use loosedb_obs::{Metrics, MetricsSnapshot};
+use loosedb_store::io::StorageIo;
 use loosedb_store::{EntityId, EntityValue, Fact, FactStore, Interner};
 
 use crate::closure::{Closure, ClosureError};
 use crate::database::{Database, PublishDelta, TransactionError};
+use crate::durable::{DurableError, Journal};
 use crate::kind::KindRegistry;
 use crate::view::ClosureView;
 
@@ -217,8 +224,9 @@ pub struct SharedDatabase {
     /// clone the `Arc`; the writer holds it just long enough to store a
     /// pointer — evaluation never happens under this lock.
     current: RwLock<Arc<Generation>>,
-    /// The owned database, mutated by at most one writer at a time.
-    writer: Mutex<Database>,
+    /// The owned database and its journal, mutated by at most one writer
+    /// at a time.
+    writer: Mutex<Writer>,
     /// Ring of `(epoch, delta)` for the most recent publishes: which
     /// relationships each generation's write delta touched. Lets session
     /// caches invalidate per relationship instead of wholesale.
@@ -228,24 +236,50 @@ pub struct SharedDatabase {
     metrics: Arc<Metrics>,
 }
 
+/// What the single writer owns: the one database every generation is
+/// built from, and the journal its writes are appended to, if any.
+struct Writer {
+    db: Database,
+    journal: Option<Journal<Box<dyn StorageIo>>>,
+}
+
 impl SharedDatabase {
     /// Takes ownership of a database, computes its closure and publishes
     /// the first generation (epoch 1).
-    pub fn new(mut db: Database) -> Result<Self, ClosureError> {
-        let first = Generation::build(1, &mut db)?;
-        db.take_publish_delta(); // epoch 1 is every session's floor
-        let metrics = Arc::clone(db.metrics());
+    pub fn new(db: Database) -> Result<Self, ClosureError> {
+        Self::with_writer(Writer { db, journal: None })
+    }
+
+    /// Like [`SharedDatabase::new`], with `journal` as a hook on the
+    /// writer: every write's operations are appended to it before the
+    /// write is published, and [`SharedDatabase::checkpoint`] snapshots
+    /// the writer database into it. `db` must be the state `journal`
+    /// recovers to — what [`crate::DurableDatabase::into_parts`] returns.
+    pub fn journaled(
+        mut db: Database,
+        journal: Journal<Box<dyn StorageIo>>,
+    ) -> Result<Self, ClosureError> {
+        // The writer's op log is the journal's feed from here on; ops
+        // logged before the hook existed are not this journal's to append.
+        db.take_log();
+        Self::with_writer(Writer { db, journal: Some(journal) })
+    }
+
+    fn with_writer(mut writer: Writer) -> Result<Self, ClosureError> {
+        let first = Generation::build(1, &mut writer.db)?;
+        writer.db.take_publish_delta(); // epoch 1 is every session's floor
+        let metrics = Arc::clone(writer.db.metrics());
         metrics.epoch.set(1);
         Ok(SharedDatabase {
             current: RwLock::new(Arc::new(first)),
-            writer: Mutex::new(db),
+            writer: Mutex::new(writer),
             deltas: Mutex::new(VecDeque::new()),
             metrics,
         })
     }
 
-    /// The metrics registry shared by the writer database and every
-    /// published generation.
+    /// The metrics registry shared by the writer database, its journal
+    /// and every published generation.
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
     }
@@ -271,8 +305,8 @@ impl SharedDatabase {
     }
 
     /// Publishes the writer database's current state as the next
-    /// generation. `db` must be the guard of `self.writer`.
-    pub(crate) fn publish(&self, db: &mut Database) -> Result<(), ClosureError> {
+    /// generation. `db` must be the writer's, under its mutex.
+    fn publish(&self, db: &mut Database) -> Result<(), ClosureError> {
         // Only the writer mutates `current`, and the caller holds the
         // writer mutex, so reading the epoch outside the write lock is
         // race-free.
@@ -359,6 +393,91 @@ impl SharedDatabase {
         }
     }
 
+    /// The one write path. In order:
+    ///
+    /// 1. `apply` runs on the writer database, with the op log on when a
+    ///    journal is attached;
+    /// 2. a `checked` write is refused if the closure now holds integrity
+    ///    violations it did not hold before — one check over everything
+    ///    the write introduced;
+    /// 3. the logged operations go to the journal: one append, at most
+    ///    one fsync;
+    /// 4. one generation is published, if the write changed anything.
+    ///
+    /// A refusal, a failed append, or any error from a checked or
+    /// journaled write puts the writer database back exactly as it was
+    /// (a fork of its persistent maps, taken before step 1): nothing is
+    /// published or journaled, and the closure stays warm. Readers
+    /// observe every write atomically.
+    pub fn commit<T>(
+        &self,
+        checked: bool,
+        apply: impl FnOnce(&mut Database) -> Result<T, TransactionError>,
+    ) -> Result<T, DurableError> {
+        self.run(checked, false, apply)
+    }
+
+    /// [`SharedDatabase::commit`], optionally publishing even when the
+    /// write left the database unchanged.
+    fn run<T>(
+        &self,
+        checked: bool,
+        always_publish: bool,
+        apply: impl FnOnce(&mut Database) -> Result<T, TransactionError>,
+    ) -> Result<T, DurableError> {
+        let mut writer = self.writer.lock();
+        let Writer { db, journal } = &mut *writer;
+        let before = if checked { db.validate()?.to_vec() } else { Vec::new() };
+        let epoch = db.store().epoch();
+        // Only a write that can be refused — checked or journaled — keeps
+        // a fork to roll back to; the fork's clones cost O(entities /
+        // 1024) per write (the interner's chunk table). An unchecked
+        // in-memory write fails only in closure computation, and then
+        // keeps what it applied, unpublished, as `Database` would.
+        let fork = (checked || journal.is_some()).then(|| db.fork());
+        if journal.is_some() {
+            db.enable_logging();
+        }
+        let committed = apply(db)
+            .and_then(|out| {
+                let changed = db.store().epoch() != epoch || !db.is_warm();
+                // Bring the closure up to date before anything is
+                // journaled: a write whose closure cannot be computed is
+                // refused here.
+                db.refresh()?;
+                if checked {
+                    let new: Vec<_> =
+                        db.validate()?.iter().filter(|v| !before.contains(v)).cloned().collect();
+                    if !new.is_empty() {
+                        return Err(TransactionError::Integrity(new));
+                    }
+                }
+                Ok((out, changed))
+            })
+            .map_err(DurableError::from)
+            .and_then(|done| match journal {
+                // The op log was switched on above: it holds this write.
+                Some(journal) => journal
+                    .append(&db.take_log().unwrap_or_default())
+                    .map(|()| done)
+                    .map_err(DurableError::Io),
+                None => Ok(done),
+            });
+        let (out, changed) = match committed {
+            Ok(done) => done,
+            Err(e) => {
+                if let Some(fork) = fork {
+                    *db = fork;
+                }
+                return Err(e);
+            }
+        };
+        if changed || always_publish {
+            self.publish(db)?;
+        }
+        Ok(out)
+    }
+
     /// Inserts a fact (unchecked, like [`Database::add`]) and publishes a
     /// new generation. The closure is maintained incrementally
     /// ([`crate::closure::extend`]); readers keep serving the previous
@@ -368,14 +487,8 @@ impl SharedDatabase {
         s: impl Into<EntityValue>,
         r: impl Into<EntityValue>,
         t: impl Into<EntityValue>,
-    ) -> Result<Fact, ClosureError> {
-        let mut db = self.writer.lock();
-        let before = db.store().epoch();
-        let fact = db.add_incremental(s, r, t)?;
-        if db.store().epoch() != before {
-            self.publish(&mut db)?;
-        }
-        Ok(fact)
+    ) -> Result<Fact, DurableError> {
+        self.commit(false, |db| Ok(db.add_incremental(s, r, t)?))
     }
 
     /// Transactionally inserts a fact ([`Database::try_add`] semantics):
@@ -386,14 +499,8 @@ impl SharedDatabase {
         s: impl Into<EntityValue>,
         r: impl Into<EntityValue>,
         t: impl Into<EntityValue>,
-    ) -> Result<Fact, TransactionError> {
-        let mut db = self.writer.lock();
-        let before = db.store().epoch();
-        let fact = db.try_add(s, r, t)?;
-        if db.store().epoch() != before {
-            self.publish(&mut db)?;
-        }
-        Ok(fact)
+    ) -> Result<Fact, DurableError> {
+        self.commit(true, |db| Ok(db.add_incremental(s, r, t)?))
     }
 
     /// Removes a base fact and publishes a new generation. The closure is
@@ -401,24 +508,16 @@ impl SharedDatabase {
     /// retraction wave deletes exactly the consequences that lose
     /// support, and the published delta stays precise — readers' caches
     /// keyed on disjoint rels survive the removal.
-    pub fn remove(&self, f: &Fact) -> Result<bool, ClosureError> {
-        let mut db = self.writer.lock();
-        let removed = db.remove_incremental(f)?;
-        if removed {
-            self.publish(&mut db)?;
-        }
-        Ok(removed)
+    pub fn remove(&self, f: &Fact) -> Result<bool, DurableError> {
+        self.commit(false, |db| Ok(db.remove_incremental(f)?))
     }
 
     /// Applies an arbitrary batch of updates to the writer database, then
     /// publishes exactly one new generation. Readers observe the batch
     /// atomically: either the generation before all of `f`'s changes or
     /// the one after all of them, never an intermediate state.
-    pub fn write<T>(&self, f: impl FnOnce(&mut Database) -> T) -> Result<T, ClosureError> {
-        let mut db = self.writer.lock();
-        let out = f(&mut db);
-        self.publish(&mut db)?;
-        Ok(out)
+    pub fn write<T>(&self, f: impl FnOnce(&mut Database) -> T) -> Result<T, DurableError> {
+        self.run(false, true, |db| Ok(f(db)))
     }
 
     /// Extends the writer's interner without publishing. Interning never
@@ -433,26 +532,7 @@ impl SharedDatabase {
         &self,
         f: impl FnOnce(&mut loosedb_store::Interner) -> T,
     ) -> T {
-        let mut db = self.writer.lock();
-        f(db.store_interner_mut())
-    }
-
-    /// Applies a batch of updates and publishes a new generation only if
-    /// the store epoch moved — the batch analogue of
-    /// [`SharedDatabase::insert`]'s publish-if-fresh behavior, used by
-    /// the sharded router for owner-routed writes and promotion
-    /// re-broadcasts where the fact may already be present.
-    pub(crate) fn write_if_changed<T>(
-        &self,
-        f: impl FnOnce(&mut Database) -> Result<T, ClosureError>,
-    ) -> Result<T, ClosureError> {
-        let mut db = self.writer.lock();
-        let before = db.store().epoch();
-        let out = f(&mut db)?;
-        if db.store().epoch() != before {
-            self.publish(&mut db)?;
-        }
-        Ok(out)
+        f(self.writer.lock().db.store_interner_mut())
     }
 
     /// Runs `f` with shared (read-only) access to the writer database,
@@ -461,13 +541,22 @@ impl SharedDatabase {
     /// halfway through — this is how a replica snapshots itself (base
     /// images at rotation, promotion) without spending an epoch.
     pub fn read_writer<T>(&self, f: impl FnOnce(&Database) -> T) -> T {
-        let db = self.writer.lock();
-        f(&db)
+        f(&self.writer.lock().db)
     }
 
-    /// Consumes the shared database, returning the owned writer database.
+    /// Snapshots the writer database into the journal, under the writer
+    /// lock, and rotates the WAL (see [`Journal::checkpoint`]). Returns
+    /// the new generation, or `None` without a journal.
+    pub fn checkpoint(&self) -> io::Result<Option<u64>> {
+        let mut writer = self.writer.lock();
+        let Writer { db, journal } = &mut *writer;
+        journal.as_mut().map(|journal| journal.checkpoint(db)).transpose()
+    }
+
+    /// Consumes the shared database, returning the owned writer database
+    /// (a journal, if any, is closed).
     pub fn into_inner(self) -> Database {
-        self.writer.into_inner()
+        self.writer.into_inner().db
     }
 }
 
@@ -521,9 +610,22 @@ mod tests {
         let before = shared.epoch();
         assert!(shared.try_insert("JOHN", "HATES", "MARY").is_err());
         assert_eq!(shared.epoch(), before);
+        // A checked batch is refused whole: its harmless first fact and
+        // the entities it named leave no trace, and the closure stays
+        // warm.
+        let computes = shared.metrics_snapshot().closure.computes;
+        let refused = shared.commit(true, |db| {
+            db.add_incremental("NEWGUY", "LOVES", "JAZZ")?;
+            db.add_incremental("JOHN", "HATES", "MARY")?;
+            Ok(())
+        });
+        assert!(matches!(refused, Err(DurableError::Transaction(TransactionError::Integrity(_)))));
+        assert_eq!(shared.epoch(), before);
+        assert!(shared.read_writer(|db| db.lookup_symbol("NEWGUY").is_none()));
         // An accepted transaction publishes exactly one generation.
         shared.try_insert("JOHN", "LOVES", "SUE").unwrap();
         assert_eq!(shared.epoch(), before + 1);
+        assert_eq!(shared.metrics_snapshot().closure.computes, computes);
     }
 
     #[test]

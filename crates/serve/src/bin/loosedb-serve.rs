@@ -106,43 +106,32 @@ fn main() {
     let backend = match (journal_dir, shards) {
         (Some(dir), None) => {
             let io: Box<dyn StorageIo> = Box::new(RealIo);
-            let journal = DurableDatabase::open_with(io, &dir, SyncPolicy::EveryN(64))
+            let mut journal = DurableDatabase::open_with(io, &dir, SyncPolicy::EveryN(64))
                 .unwrap_or_else(|e| {
                     eprintln!("cannot open journal {dir}: {e}");
                     std::process::exit(1);
                 });
             let recovered = journal.database_ref().base_len();
-            let backend = Backend::durable(journal).unwrap_or_else(|e| {
-                eprintln!("cannot build serving mirror: {e}");
-                std::process::exit(1);
-            });
             if recovered == 0 {
-                // A fresh journal: seed it with the requested world.
-                let db = world(&world_name);
-                let (text, _skipped) = db.export_facts();
-                if let Backend::Durable { journal, serving } = &backend {
-                    let mut journal = journal.lock();
-                    let result = serving.write(|d| d.import_facts(&text));
-                    if let Err(e) =
-                        result.map_err(|e| e.to_string()).and_then(|r| r.map_err(|e| e.to_string()))
-                    {
-                        eprintln!("cannot seed world: {e}");
-                        std::process::exit(1);
-                    }
-                    if let Err(e) = journal.database().import_facts(&text) {
-                        eprintln!("cannot seed journal: {e}");
-                        std::process::exit(1);
-                    }
-                    if let Err(e) = journal.checkpoint() {
-                        eprintln!("cannot checkpoint seeded journal: {e}");
-                        std::process::exit(1);
-                    }
+                // A fresh journal: seed it with the requested world and
+                // make the seed its first snapshot.
+                let (text, _skipped) = world(&world_name).export_facts();
+                if let Err(e) = journal.database().import_facts(&text) {
+                    eprintln!("cannot seed journal: {e}");
+                    std::process::exit(1);
+                }
+                if let Err(e) = journal.checkpoint() {
+                    eprintln!("cannot checkpoint seeded journal: {e}");
+                    std::process::exit(1);
                 }
                 eprintln!("seeded journal with the {world_name} world");
             } else {
                 eprintln!("recovered {recovered} base fact(s) from {dir}");
             }
-            backend
+            Backend::durable(journal).unwrap_or_else(|e| {
+                eprintln!("cannot publish the journaled database: {e}");
+                std::process::exit(1);
+            })
         }
         (None, Some(n)) => {
             let db = world(&world_name);

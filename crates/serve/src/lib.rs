@@ -3,9 +3,10 @@
 //!
 //! Everything below this crate is a library a single process embeds;
 //! this crate turns it into a *service*. A [`Server`] fronts one
-//! [`Backend`] — an in-memory [`loosedb_engine::SharedDatabase`], a
-//! WAL-journaled [`loosedb_engine::DurableDatabase`] served through a
-//! shared mirror, or a partitioned
+//! [`Backend`] — an in-memory [`loosedb_engine::SharedDatabase`], the
+//! same shared database with a WAL [`loosedb_engine::Journal`] hooked
+//! onto its writer (recovered from a
+//! [`loosedb_engine::DurableDatabase`]), or a partitioned
 //! [`loosedb_engine::ShardedDatabase`] — and exposes the full browsing
 //! surface of the paper (navigate §4, query §2.7, probe §5, publish and
 //! retract §6.1) over two faces:

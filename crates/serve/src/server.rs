@@ -28,10 +28,21 @@
 //! (slow-loris) is held in the frame buffer until the same idle clock
 //! evicts it.
 //!
+//! Writes go through the backend's single writer. On the shared and
+//! durable backends that is one [`SharedDatabase`] — the durable one
+//! differs only in the journal hooked onto its writer — and every write
+//! runs apply → check → append → publish: the batch extends the writer's
+//! closure in place, a checked batch is refused if it introduces
+//! integrity violations, the journal appends the batch's operations once
+//! (one fsync at most), and one generation is published. A refused batch
+//! or a failed append rolls the writer back, so nothing is served or
+//! journaled. There is one copy of the world and one metrics registry.
+//!
 //! Shutdown ([`Server::shutdown`]) flips one flag: the acceptor exits,
 //! each handler finishes the request in flight, answers `Bye` and
 //! returns, and once every thread is joined the backend is checkpointed
-//! (journal-backed backends rotate their WAL into a fresh snapshot).
+//! (journal-backed backends encode the writer database, under the writer
+//! lock, into a fresh snapshot and rotate their WAL).
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -43,8 +54,7 @@ use std::time::{Duration, Instant};
 
 use loosedb_browse::{SessionError, SnapshotSession, Snapshots};
 use loosedb_engine::{
-    persist, ClosureError, DurableDatabase, DurableError, ShardedDatabase, SharedDatabase,
-    TransactionError,
+    DurableDatabase, DurableError, ShardedDatabase, SharedDatabase, TransactionError,
 };
 use loosedb_obs::Metrics;
 use loosedb_query::EvalError;
@@ -94,13 +104,12 @@ impl Default for ServeConfig {
 pub enum Backend {
     /// An in-process shared database (no durability).
     Shared(Arc<SharedDatabase>),
-    /// A journaled database served through an in-memory shared mirror:
-    /// writes go journal-first (WAL append, then the serving mirror
-    /// publishes), reads never touch the journal lock.
+    /// A journaled database: one [`SharedDatabase`] whose single writer
+    /// appends every write to the journal before publishing it. Sessions
+    /// read its generations like any shared backend's.
     Durable {
-        /// The journal: WAL, snapshots, checkpoints.
-        journal: Box<Mutex<DurableDatabase<Box<dyn StorageIo>>>>,
-        /// The serving mirror every session reads from.
+        /// The database every session reads from and every write goes
+        /// through; its journal is a hook on its writer.
         serving: Arc<SharedDatabase>,
     },
     /// A hash-partitioned database; sessions run scatter-gather reads.
@@ -119,16 +128,12 @@ impl WriteErr {
     }
 }
 
-impl From<TransactionError> for WriteErr {
-    fn from(e: TransactionError) -> Self {
-        WriteErr { code: ErrorCode::Integrity, message: e.to_string() }
-    }
-}
-
 impl From<DurableError> for WriteErr {
     fn from(e: DurableError) -> Self {
         match e {
-            DurableError::Transaction(t) => t.into(),
+            DurableError::Transaction(e @ TransactionError::Integrity(_)) => {
+                WriteErr { code: ErrorCode::Integrity, message: e.to_string() }
+            }
             other => WriteErr::internal(other),
         }
     }
@@ -145,27 +150,20 @@ impl Backend {
         Backend::Sharded(db)
     }
 
-    /// Fronts a journaled database. The serving mirror is rebuilt from
-    /// the journal's recovered image (an encode/decode round-trip, the
-    /// same idiom replica promotion uses), after which journal and
-    /// mirror apply every write in the same order and stay aligned —
-    /// including their interners, so fact ids resolve identically in
-    /// both.
+    /// Fronts a journaled database. The recovered database and its
+    /// journal move into one [`SharedDatabase`] as they are — no copy of
+    /// the world is made — and the journal becomes a hook on its writer.
     pub fn durable(
         journal: DurableDatabase<Box<dyn StorageIo>>,
     ) -> Result<Self, Box<dyn std::error::Error + Send + Sync>> {
-        let image = persist::encode(journal.database_ref()).to_vec();
-        let db = persist::decode(&image[..])?;
-        let serving = Arc::new(SharedDatabase::new(db)?);
-        Ok(Backend::Durable { journal: Box::new(Mutex::new(journal)), serving })
+        let (db, journal) = journal.into_parts();
+        Ok(Backend::Durable { serving: Arc::new(SharedDatabase::journaled(db, journal)?) })
     }
 
-    /// The metrics registry observations land in (the serving side's, for
-    /// a durable backend).
+    /// The metrics registry observations land in.
     pub fn metrics(&self) -> &Arc<Metrics> {
         match self {
-            Backend::Shared(db) => db.metrics(),
-            Backend::Durable { serving, .. } => serving.metrics(),
+            Backend::Shared(db) | Backend::Durable { serving: db } => db.metrics(),
             Backend::Sharded(db) => db.metrics(),
         }
     }
@@ -174,71 +172,32 @@ impl Backend {
     /// it is monotone under every backend).
     pub fn epoch(&self) -> u64 {
         match self {
-            Backend::Shared(db) => db.epoch(),
-            Backend::Durable { serving, .. } => serving.epoch(),
+            Backend::Shared(db) | Backend::Durable { serving: db } => db.epoch(),
             Backend::Sharded(db) => db.epochs().iter().sum(),
         }
     }
 
-    /// Applies a batch of facts as writes. `checked` routes through the
-    /// transactional path (integrity enforcement); unchecked facts land
-    /// as one atomic generation where the backend supports it. Returns
-    /// `(epoch after, facts newly applied)`.
+    /// Applies a batch of facts as writes. `checked` refuses the batch if
+    /// it introduces integrity violations. On a shared or durable backend
+    /// the batch is one write — one generation, one journal append — and
+    /// a refused batch leaves nothing behind. Returns `(epoch after,
+    /// facts newly applied)`.
     fn publish(
         &self,
         checked: bool,
         facts: &[(String, String, String)],
     ) -> Result<(u64, u64), WriteErr> {
         let applied = match self {
-            Backend::Shared(db) => {
-                if checked {
-                    let mut n = 0;
-                    for (s, r, t) in facts {
-                        db.try_insert(value(s), value(r), value(t))?;
-                        n += 1;
-                    }
-                    n
-                } else {
-                    // `add_incremental` keeps the closure warm, so the
-                    // publish swap stays O(delta) — a plain `add` would
-                    // mark the closure dirty and the publish would
-                    // recompute the world on every served write.
-                    db.write(|d| {
-                        let before = d.base_len();
-                        for (s, r, t) in facts {
-                            d.add_incremental(value(s), value(r), value(t))?;
-                        }
-                        Ok::<u64, ClosureError>((d.base_len() - before) as u64)
-                    })
-                    .map_err(WriteErr::internal)?
-                    .map_err(WriteErr::internal)?
-                }
-            }
-            Backend::Durable { journal, serving } => {
-                // Journal-first: every fact is WAL-appended (and, for the
-                // checked path, integrity-validated against the journal's
-                // own closure) before the serving mirror publishes it.
-                let mut journal = journal.lock();
-                let mut accepted = Vec::with_capacity(facts.len());
+            Backend::Shared(db) | Backend::Durable { serving: db } => db.commit(checked, |d| {
+                // `add_incremental` keeps the closure warm, so the publish
+                // stays O(delta): a plain `add` would leave the closure
+                // stale and the write would recompute the world.
+                let before = d.base_len();
                 for (s, r, t) in facts {
-                    if checked {
-                        journal.try_add(value(s), value(r), value(t))?;
-                    } else {
-                        journal.add(value(s), value(r), value(t)).map_err(WriteErr::internal)?;
-                    }
-                    accepted.push((s, r, t));
+                    d.add_incremental(value(s), value(r), value(t))?;
                 }
-                serving
-                    .write(|d| {
-                        let before = d.base_len();
-                        for (s, r, t) in accepted {
-                            d.add_incremental(value(s), value(r), value(t))?;
-                        }
-                        Ok::<u64, ClosureError>((d.base_len() - before) as u64)
-                    })
-                    .map_err(WriteErr::internal)?
-                    .map_err(WriteErr::internal)?
-            }
+                Ok((d.base_len() - before) as u64)
+            })?,
             Backend::Sharded(db) => {
                 let mut n = 0;
                 for (s, r, t) in facts {
@@ -261,40 +220,35 @@ impl Backend {
     /// Retracts one base fact by display names. A name no entity carries
     /// means the fact cannot exist: `applied` is 0, not an error.
     fn retract(&self, s: &str, r: &str, t: &str) -> Result<(u64, u64), WriteErr> {
-        let fact = match self.resolve_fact(s, r, t) {
-            Some(f) => f,
-            None => return Ok((self.epoch(), 0)),
-        };
+        let (s, r, t) = (value(s), value(r), value(t));
         let removed = match self {
-            Backend::Shared(db) => db.remove(&fact).map_err(WriteErr::internal)?,
-            Backend::Durable { journal, serving } => {
-                let on_disk = journal.lock().remove(&fact).map_err(WriteErr::internal)?;
-                let in_memory = serving.remove(&fact).map_err(WriteErr::internal)?;
-                on_disk || in_memory
+            Backend::Shared(db) | Backend::Durable { serving: db } => {
+                db.commit(false, |d| match (d.lookup(&s), d.lookup(&r), d.lookup(&t)) {
+                    (Some(s), Some(r), Some(t)) => Ok(d.remove_incremental(&Fact::new(s, r, t))?),
+                    _ => Ok(false),
+                })?
             }
-            Backend::Sharded(db) => db.remove(&fact).map_err(WriteErr::internal)?,
+            Backend::Sharded(db) => {
+                let snapshot = db.snapshot();
+                match (snapshot.lookup(&s), snapshot.lookup(&r), snapshot.lookup(&t)) {
+                    (Some(s), Some(r), Some(t)) => {
+                        db.remove(&Fact::new(s, r, t)).map_err(WriteErr::internal)?
+                    }
+                    _ => false,
+                }
+            }
         };
         Ok((self.epoch(), u64::from(removed)))
-    }
-
-    fn resolve_fact(&self, s: &str, r: &str, t: &str) -> Option<Fact> {
-        let lookup = |v: &EntityValue| match self {
-            Backend::Shared(db) => db.snapshot().lookup(v),
-            Backend::Durable { serving, .. } => serving.snapshot().lookup(v),
-            Backend::Sharded(db) => db.snapshot().lookup(v),
-        };
-        Some(Fact::new(lookup(&value(s))?, lookup(&value(r))?, lookup(&value(t))?))
     }
 
     /// Flushes and snapshots whatever the backend journals (no-op for a
     /// purely in-memory backend).
     fn checkpoint(&self) -> Result<(), WriteErr> {
         match self {
-            Backend::Shared(_) => Ok(()),
-            Backend::Durable { journal, .. } => {
-                journal.lock().checkpoint().map(|_| ()).map_err(WriteErr::internal)
+            Backend::Shared(db) | Backend::Durable { serving: db } => {
+                db.checkpoint().map(drop).map_err(WriteErr::internal)
             }
-            Backend::Sharded(db) => db.checkpoint().map(|_| ()).map_err(WriteErr::internal),
+            Backend::Sharded(db) => db.checkpoint().map(drop).map_err(WriteErr::internal),
         }
     }
 }
@@ -535,7 +489,7 @@ fn handle_connection(inner: &Inner, stream: TcpStream) {
     // The one place the backend picks the snapshot provider this
     // connection's sessions read from.
     match &inner.backend {
-        Backend::Shared(db) | Backend::Durable { serving: db, .. } => {
+        Backend::Shared(db) | Backend::Durable { serving: db } => {
             serve_connection(inner, stream, db, binary)
         }
         Backend::Sharded(db) => serve_connection(inner, stream, db, binary),

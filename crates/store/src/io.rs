@@ -335,7 +335,8 @@ impl StorageIo for MemIo {
 }
 
 /// A fault-injecting wrapper: the `limit`-th mutating operation — and
-/// every mutating operation after it — fails, simulating a crash.
+/// every mutating operation after it — fails, simulating a crash, until
+/// [`FaultIo::heal`] ends the fault.
 ///
 /// The failing operation is realistic about *how* it dies: `write` and
 /// `append` first apply **half** of their payload (a torn write at the
@@ -346,7 +347,7 @@ impl StorageIo for MemIo {
 pub struct FaultIo<I> {
     inner: I,
     used: AtomicUsize,
-    limit: usize,
+    limit: AtomicUsize,
 }
 
 /// The error kind produced by injected faults.
@@ -355,7 +356,13 @@ pub const INJECTED_FAULT: io::ErrorKind = io::ErrorKind::Other;
 impl<I: StorageIo> FaultIo<I> {
     /// Wraps `inner`, allowing `limit` mutating operations to succeed.
     pub fn new(inner: I, limit: usize) -> Self {
-        FaultIo { inner, used: AtomicUsize::new(0), limit }
+        FaultIo { inner, used: AtomicUsize::new(0), limit: AtomicUsize::new(limit) }
+    }
+
+    /// Ends the fault: every later operation succeeds, as after a
+    /// transient device error rather than a crash.
+    pub fn heal(&self) {
+        self.limit.store(usize::MAX, Ordering::SeqCst);
     }
 
     /// The number of mutating operations attempted so far.
@@ -371,7 +378,7 @@ impl<I: StorageIo> FaultIo<I> {
     /// Counts one mutating operation; `Err` once the budget is spent.
     fn charge(&self) -> io::Result<()> {
         let n = self.used.fetch_add(1, Ordering::SeqCst);
-        if n >= self.limit {
+        if n >= self.limit.load(Ordering::SeqCst) {
             Err(io::Error::new(INJECTED_FAULT, format!("injected fault at I/O op {n}")))
         } else {
             Ok(())

@@ -171,6 +171,11 @@ impl FactLog {
         self.buf.len()
     }
 
+    /// The encoded frames, borrowed: what a journal appends in one write.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// A frozen copy of the encoded log.
     pub fn bytes(&self) -> Bytes {
         Bytes::copy_from_slice(&self.buf)

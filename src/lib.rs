@@ -63,7 +63,7 @@ pub use loosedb_browse::{
 };
 pub use loosedb_engine::{
     Builtin, Closure, ClosureError, ClosureView, Database, DeltaSummary, DomainCounts,
-    DurableDatabase, DurableError, ExtendDelta, FactView, Generation, InferenceConfig,
+    DurableDatabase, DurableError, ExtendDelta, FactView, Generation, InferenceConfig, Journal,
     KindRegistry, MathTruth, PollReport, Provenance, Prover, PublishDelta, RecoveryInfo, RelKind,
     Replica, ReplicaError, ReplicaInfo, ReplicaOptions, Rule, RuleGroup, RuleKind, ShardStats,
     ShardedDatabase, ShardedError, ShardedSnapshot, SharedDatabase, Strategy, SyncPolicy, Taxonomy,
